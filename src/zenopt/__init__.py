@@ -2,8 +2,6 @@
 QAOA / penalty-dephasing / quantum-Zeno circuits."""
 
 from .arithmetic import (
-    GATE_MODE,
-    ORACLE_MODE,
     CostRegisterLayout,
     build_comparator,
     build_cost_adder,
@@ -36,9 +34,9 @@ from .errors import (
     InputError,
     LayoutError,
     ShapeError,
-    StatsUnavailableError,
     ZenoptError,
 )
+from .functional import FunctionalCircuit
 from .harness import (
     HistogramResult,
     SweepResult,
@@ -82,7 +80,6 @@ from .problem import (
 )
 from .statevector import (
     Gate,
-    Oracle,
     Projection,
     Statevector,
     apply_gate,

@@ -1,8 +1,10 @@
 """Reversible cost accumulation and threshold comparison subcircuits.
 
-GATE mode builds explicit gate lists (phase-space adder plus an MCX
-comparator cascade); ORACLE mode builds single permutation oracles with the
-same action, so every circuit has a cheap functional twin.
+The adder is a phase-space (Fourier) adder and the comparator an MCX
+cascade, both as explicit gate lists.  Searches never run them: the
+functional backend (``functional.py``) applies the net effect of every block
+built from them directly on the decision and slack bits, and these circuits
+are the gate-level reference it is tested against.
 """
 
 from __future__ import annotations
@@ -11,23 +13,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ContractError, LayoutError
 from .statevector import (
     Gate,
-    Oracle,
     Projection,
-    DIAGONAL_ORACLE,
     gate_cphase,
     gate_h,
     gate_mcx,
     gate_phase,
     gate_x,
 )
-
-GATE_MODE = "gate"
-ORACLE_MODE = "oracle"
 
 _TWO_PI = 2.0 * math.pi
 
@@ -53,11 +48,6 @@ def register_width(coeffs: Sequence[int]) -> int:
     """Bits needed to hold the largest achievable cost sum_i coeffs[i]."""
     total = sum(c for c in coeffs if c > 0)
     return max(1, math.ceil(math.log2(total + 1))) if total > 0 else 1
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (GATE_MODE, ORACLE_MODE):
-        raise LayoutError(f"mode must be {GATE_MODE!r} or {ORACLE_MODE!r}, got {mode!r}")
 
 
 def _qft(qubits: Sequence[int]) -> list[Gate]:
@@ -93,37 +83,12 @@ def _fourier_add_gates(value: int, control: int | None, cost_qubits: Sequence[in
     return gates
 
 
-def _register_value(idx: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    value = np.zeros_like(idx)
-    for k, q in enumerate(qubits):
-        value |= ((idx >> q) & 1) << k
-    return value
-
-
-def _adder_perm_fn(weights, decision, cost, sign):
-    mod = 1 << len(cost)
-    clear = ~sum(1 << q for q in cost)
-
-    def fn(idx: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(idx)
-        for w, d in zip(weights, decision):
-            total += w * ((idx >> d) & 1)
-        new = (_register_value(idx, cost) + sign * total) % mod
-        out = idx & clear
-        for k, q in enumerate(cost):
-            out |= ((new >> k) & 1) << q
-        return out
-
-    return fn
-
-
-def build_cost_adder(weights: Sequence[int], layout: CostRegisterLayout, mode: str = GATE_MODE) -> list[Gate]:
+def build_cost_adder(weights: Sequence[int], layout: CostRegisterLayout) -> list[Gate]:
     """Circuit adding sum_i weights[i] * x_i into the cost register.
 
     The register must start at |0> for the plain "compute the cost" reading;
     as a unitary the circuit performs modular addition on any register state.
     """
-    _check_mode(mode)
     weights = [int(w) for w in weights]
     if len(weights) != len(layout.decision_qubits):
         raise LayoutError("one weight per decision qubit required")
@@ -133,15 +98,6 @@ def build_cost_adder(weights: Sequence[int], layout: CostRegisterLayout, mode: s
         raise LayoutError(
             f"cost register of width {layout.width_m} overflows: max sum {sum(weights)}"
         )
-    if mode == ORACLE_MODE:
-        oracle = Oracle(
-            "adder",
-            perm_fn=_adder_perm_fn(weights, layout.decision_qubits, layout.cost_qubits, +1),
-            inv_perm_fn=_adder_perm_fn(weights, layout.decision_qubits, layout.cost_qubits, -1),
-            cache_key=("adder", tuple(weights), layout.decision_qubits, layout.cost_qubits),
-        )
-        qubits = (*layout.decision_qubits, *layout.cost_qubits)
-        return [Gate(DIAGONAL_ORACLE, qubits, oracle=oracle)]
     gates = _qft(layout.cost_qubits)
     for w, d in zip(weights, layout.decision_qubits):
         gates.extend(_fourier_add_gates(w, d, layout.cost_qubits))
@@ -149,10 +105,10 @@ def build_cost_adder(weights: Sequence[int], layout: CostRegisterLayout, mode: s
     return gates
 
 
-def build_comparator(layout: CostRegisterLayout, threshold: int, mode: str = GATE_MODE) -> list[Gate]:
+def build_comparator(layout: CostRegisterLayout, threshold: int) -> list[Gate]:
     """Flip the flag qubit exactly on branches where cost > threshold.
 
-    GATE mode writes the carry of cost + (2^m - 1 - threshold) onto the flag
+    The circuit writes the carry of cost + (2^m - 1 - threshold) onto the flag
     with an MCX cascade: walking the threshold's bits from the top, each zero
     bit contributes one multi-controlled X whose controls pin all higher cost
     bits to the threshold's bits.  The cubes are disjoint, so the flag flips
@@ -162,25 +118,9 @@ def build_comparator(layout: CostRegisterLayout, threshold: int, mode: str = GAT
     into an XOR (check the flag's probability mass beforehand to detect the
     contract violation).
     """
-    _check_mode(mode)
     m = layout.width_m
     if not 0 <= threshold < (1 << m):
         raise LayoutError(f"threshold {threshold} outside [0, 2^{m})")
-    if mode == ORACLE_MODE:
-        flag_mask = 1 << layout.flag_qubit
-        cost = layout.cost_qubits
-
-        def fn(idx: np.ndarray) -> np.ndarray:
-            violated = (_register_value(idx, cost) > threshold).astype(np.int64)
-            return idx ^ (violated * flag_mask)
-
-        oracle = Oracle(
-            "comparator",
-            perm_fn=fn,
-            inv_perm_fn=fn,
-            cache_key=("comparator", cost, layout.flag_qubit, threshold),
-        )
-        return [Gate(DIAGONAL_ORACLE, (*cost, layout.flag_qubit), oracle=oracle)]
     gates: list[Gate] = []
     for k in range(m - 1, -1, -1):
         if (threshold >> k) & 1:

@@ -8,6 +8,11 @@ chosen ordering; a transverse mixer with angle beta_p.  Zeno blocks own the
 mixing of decision qubits (Q sub-blocks of RX(beta_p/Q), each followed by a
 flag projection), so the trailing global mixer covers decision qubits only
 when no constraint is Zeno-assigned.
+
+These gate circuits are the reference and the source of circuit statistics;
+searches run the same layers on the ancilla-free functional backend
+(``functional.py``), which shares ``compiled_model``, ``block_order`` and
+``mixer_targets`` with them.
 """
 
 from __future__ import annotations
@@ -19,16 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import (
-    GATE_MODE,
-    ORACLE_MODE,
     CostRegisterLayout,
-    _check_mode,
     build_comparator,
     build_cost_adder,
     build_uncompute,
     register_width,
 )
-from .errors import InputError, LayoutError, StatsUnavailableError
+from .errors import InputError, LayoutError
 from .problem import (
     DEPHASE,
     QAOA,
@@ -41,9 +43,7 @@ from .problem import (
     qubo_values,
 )
 from .statevector import (
-    DIAGONAL_ORACLE,
     Gate,
-    Oracle,
     Projection,
     Statevector,
     apply_gates,
@@ -119,7 +119,6 @@ class HybridCircuit:
     projections: list[tuple[int, Projection]]  # (gates applied before, projection)
     ordering: str
     n_parameters: int
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,7 @@ def parse_assignment(text: str) -> tuple[str, ...]:
 
 def _constraint_support(coeffs) -> tuple[tuple[int, ...], tuple[int, ...]]:
     vars_ = tuple(i for i, c in enumerate(coeffs) if c != 0)
-    weights = tuple(int(coeffs[i]) for i in vars_)
-    if any(w < 0 for w in weights):
-        raise InputError("constraint coefficients must be non-negative")
-    return vars_, weights
+    return vars_, tuple(int(coeffs[i]) for i in vars_)
 
 
 def build_layout(problem: ConstrainedBinaryProblem, assignment, qubo_n_bits: int) -> CircuitLayout:
@@ -202,22 +198,19 @@ def build_dephasing_layer(
     reg: CostRegisterLayout,
     alpha: float,
     theta: float,
-    mode: str = GATE_MODE,
 ) -> list[Gate]:
     """Adder, comparator, violation-weighted dephasing, and uncompute.
 
     Net effect is the diagonal phase e^{-i*theta*alpha*max(0, cost-bound)}
-    with all ancillas restored.  The penalty phases are per-bit scalar
-    rotations in either mode; only the arithmetic blocks switch to oracles.
+    with all ancillas restored.
     """
-    _check_mode(mode)
     support, weights = _constraint_support(constraint_coeffs)
     if support != reg.decision_qubits:
         raise LayoutError("register layout does not match the constraint support")
     if bound >= (1 << reg.width_m):
         return []  # bound exceeds any achievable cost: nothing to dephase
-    adder = build_cost_adder(weights, reg, mode)
-    comparator = build_comparator(reg, bound, mode)
+    adder = build_cost_adder(weights, reg)
+    comparator = build_comparator(reg, bound)
     penalty = _penalty_phase_gates(reg, bound, alpha, theta)
     return adder + comparator + penalty + build_uncompute(comparator) + build_uncompute(adder)
 
@@ -229,7 +222,6 @@ def build_zeno_layer(
     beta: float,
     q_measurements: int,
     mixer_qubits,
-    mode: str = GATE_MODE,
 ) -> tuple[list[Gate], list[int]]:
     """Q sub-blocks of mixing followed by a flag projection each.
 
@@ -237,24 +229,20 @@ def build_zeno_layer(
     violation flag, projects it onto 0, and uncomputes.  Returns the gate
     list and the projection positions within it.
     """
-    _check_mode(mode)
     support, weights = _constraint_support(constraint_coeffs)
     if support != reg.decision_qubits:
         raise LayoutError("register layout does not match the constraint support")
-    vacuous = bound >= (1 << reg.width_m)
-    adder = build_cost_adder(weights, reg, mode)
-    comparator = build_comparator(reg, bound, mode)
+    vacuous = bound >= (1 << reg.width_m)  # no cost can exceed it: no flag to project
+    forward = [] if vacuous else build_cost_adder(weights, reg) + build_comparator(reg, bound)
     gates: list[Gate] = []
     positions: list[int] = []
     for _ in range(q_measurements):
         gates.extend(gate_rx(q, beta / q_measurements) for q in mixer_qubits)
         if vacuous:
             continue
-        gates.extend(adder)
-        gates.extend(comparator)
+        gates.extend(forward)
         positions.append(len(gates))
-        gates.extend(build_uncompute(comparator))
-        gates.extend(build_uncompute(adder))
+        gates.extend(build_uncompute(forward))
     return gates, positions
 
 
@@ -276,17 +264,22 @@ def compiled_model(problem: ConstrainedBinaryProblem, assignment, mult: Multipli
     return CompiledModel(qubo, qubo_to_ising(qubo), build_layout(problem, assignment, qubo.n_bits), table)
 
 
-def _phase_return_oracle(model: CompiledModel, gamma: float) -> Gate:
-    """Functional twin of the phase return: one diagonal oracle applying
-    e^{-i*gamma*(cost(z) - identity)}, the same phases the gate list realizes."""
-    centered = model.cost_table - model.ising.identity
-    mask = (1 << model.qubo.n_bits) - 1
+def block_order(assignment, ordering: str) -> list[int]:
+    """Constraint indices of the DEPHASE and ZENO blocks in circuit order."""
+    if ordering not in ORDERINGS:
+        raise InputError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
+    dephase_idx = [ci for ci, k in enumerate(assignment) if k == DEPHASE]
+    zeno_idx = [ci for ci, k in enumerate(assignment) if k == ZENO]
+    if ordering == NATURAL:
+        return sorted(dephase_idx + zeno_idx)
+    if ordering == ZENO_FIRST:
+        return zeno_idx + dephase_idx
+    return dephase_idx + zeno_idx
 
-    def fn(idx: np.ndarray) -> np.ndarray:
-        return -gamma * centered[idx & mask]
 
-    qubits = tuple(range(model.qubo.n_bits))
-    return Gate(DIAGONAL_ORACLE, qubits, oracle=Oracle("phase_return", phase_fn=fn))
+def mixer_targets(assignment, layout: CircuitLayout) -> tuple[int, ...]:
+    """Qubits of the trailing RX wall: Zeno blocks own the decision mixing."""
+    return layout.slack if ZENO in assignment else layout.decision + layout.slack
 
 
 def build_circuit(
@@ -295,61 +288,43 @@ def build_circuit(
     mult: Multipliers,
     params: LayerParams,
     ordering: str = NATURAL,
-    mode: str = GATE_MODE,
 ) -> HybridCircuit:
     """Full hybrid circuit for a representation assignment."""
     assignment = tuple(assignment)
     if len(assignment) != problem.n_constraints:
         raise InputError("assignment length must equal the number of constraints")
-    if ordering not in ORDERINGS:
-        raise InputError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    _check_mode(mode)
+    blocks = block_order(assignment, ordering)
     model = compiled_model(problem, assignment, mult)
     ising, layout = model.ising, model.layout
-
-    dephase_idx = [ci for ci, k in enumerate(assignment) if k == DEPHASE]
-    zeno_idx = [ci for ci, k in enumerate(assignment) if k == ZENO]
-    if ordering == NATURAL:
-        block_order = sorted(dephase_idx + zeno_idx)
-    elif ordering == ZENO_FIRST:
-        block_order = zeno_idx + dephase_idx
-    else:
-        block_order = dephase_idx + zeno_idx
+    mixer = mixer_targets(assignment, layout)
 
     gates: list[Gate] = []
     projections: list[tuple[int, Projection]] = []
-    mixer_targets = layout.slack if zeno_idx else layout.decision + layout.slack
     for p in range(params.p_layers):
         gamma, beta = params.gamma[p], params.beta[p]
-        if mode == ORACLE_MODE:
-            gates.append(_phase_return_oracle(model, gamma))
-        else:
-            gates.extend(build_phase_return(ising, gamma))
-        for ci in block_order:
+        gates.extend(build_phase_return(ising, gamma))
+        for ci in blocks:
             con = problem.constraints[ci]
             reg = layout.registers[ci]
             if assignment[ci] == DEPHASE:
-                gates.extend(
-                    build_dephasing_layer(con.coeffs, con.bound, reg, mult.alpha, gamma, mode)
-                )
+                gates.extend(build_dephasing_layer(con.coeffs, con.bound, reg, mult.alpha, gamma))
             else:
                 zgates, zpos = build_zeno_layer(
-                    con.coeffs, con.bound, reg, beta, params.q_measurements, layout.decision, mode
+                    con.coeffs, con.bound, reg, beta, params.q_measurements, layout.decision
                 )
                 offset = len(gates)
                 gates.extend(zgates)
                 projections.extend(
                     (offset + pos, Projection(reg.flag_qubit, 0)) for pos in zpos
                 )
-        gates.extend(gate_rx(q, beta) for q in mixer_targets)
-    return HybridCircuit(layout, gates, projections, ordering, 2 * params.p_layers, mode)
+        gates.extend(gate_rx(q, beta) for q in mixer)
+    return HybridCircuit(layout, gates, projections, ordering, 2 * params.p_layers)
 
 
 def prepare_initial_state(
     problem: ConstrainedBinaryProblem,
     assignment,
     layout: CircuitLayout,
-    mode: str = GATE_MODE,
 ) -> Statevector:
     """Uniform superposition post-selected on the Zeno-assigned constraints.
 
@@ -371,7 +346,7 @@ def prepare_initial_state(
         if con.bound >= (1 << reg.width_m):
             continue  # vacuous constraint keeps the full superposition
         _, weights = _constraint_support(con.coeffs)
-        forward = build_cost_adder(weights, reg, mode) + build_comparator(reg, con.bound, mode)
+        forward = build_cost_adder(weights, reg) + build_comparator(reg, con.bound)
         state = apply_gates(state, forward)
         state = project_qubit(state, reg.flag_qubit, 0)
         state = apply_gates(state, build_uncompute(forward))
@@ -404,9 +379,7 @@ def ancilla_mass(state: Statevector, layout: CircuitLayout) -> float:
 
 
 def circuit_stats(circuit: HybridCircuit) -> CircuitStats:
-    """Complexity metrics over the flat gate list (GATE mode only)."""
-    if circuit.mode != GATE_MODE or any(g.kind == DIAGONAL_ORACLE for g in circuit.gates):
-        raise StatsUnavailableError("oracle gates have no honest gate count")
+    """Complexity metrics over the flat gate list."""
     n = circuit.layout.n_qubits
     depth_per_qubit = [0] * n
     non_local = 0
@@ -447,8 +420,6 @@ def circuit_to_json(circuit: HybridCircuit) -> str:
         entry: dict = {"kind": g.kind, "qubits": list(g.qubits)}
         if g.kind in ("RX", "RZ", "RZZ", "CPHASE"):
             entry["angle"] = g.angle
-        if g.oracle is not None:
-            entry["oracle"] = g.oracle.label
         gates.append(entry)
     doc = {
         "n_qubits": circuit.layout.n_qubits,

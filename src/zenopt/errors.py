@@ -27,7 +27,3 @@ class EmptySubspaceError(ZenoptError):
 
 class InputError(ZenoptError):
     """User-supplied input is malformed or inconsistent."""
-
-
-class StatsUnavailableError(ZenoptError):
-    """Circuit statistics were requested for an oracle-mode circuit."""

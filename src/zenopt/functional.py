@@ -1,0 +1,122 @@
+"""Ancilla-free functional backend: the action of a hybrid circuit on the
+decision and slack bits, evaluated straight from the compiled model.
+
+Every DEPHASE and ZENO block of the gate circuit (``builder.build_circuit``)
+uncomputes its cost register and flag, so on the QUBO's ``n_bits`` decision
+and slack bits (decision bits lowest) one layer acts, in the builder's block
+order, as
+
+- phase return: psi *= exp(-i*gamma*(cost - identity));
+- dephasing block: psi *= exp(-i*gamma*alpha*max(0, a.x - b));
+- Zeno sub-block, Q per block: RX(beta/Q) on every decision bit, then the
+  projection onto a.x <= b, renormalized, its probability multiplied into
+  the survival;
+- mixer wall: RX(beta) on the builder's mixer targets.
+
+The initial state is uniform over the decision states that satisfy every
+ZENO constraint, for every slack value.  No circuit is built per run: a
+``FunctionalCircuit`` keeps the per-constraint excess tables and runs any
+angles.  The gate backend stays the reference; its ancilla-zero slice is
+what these amplitudes are tested against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets
+from .errors import EmptySubspaceError
+from .problem import DEPHASE, QAOA, ZENO, ConstrainedBinaryProblem, Multipliers, bits_of
+from .statevector import Statevector, _apply_inplace, gate_rx
+
+
+def excess_table(coeffs, bound: int) -> np.ndarray:
+    """max(0, a.x - b) for every assignment x of len(coeffs) variables (x_0 = bit 0)."""
+    n = len(coeffs)
+    sums = bits_of(np.arange(1 << n), n) @ np.asarray(coeffs, dtype=np.float64)
+    return np.maximum(0.0, sums - bound)
+
+
+@dataclass(frozen=True)
+class _Block:
+    kind: str
+    name: str  # constraint index and label, for error messages
+    excess: np.ndarray  # max(0, a.x - b) per decision state
+    keep: np.ndarray | None  # Zeno projection mask; None where the gate build has no flag
+
+
+class FunctionalCircuit:
+    """One hybrid circuit's action on the decision and slack bits."""
+
+    def __init__(
+        self,
+        problem: ConstrainedBinaryProblem,
+        assignment,
+        mult: Multipliers,
+        ordering: str = NATURAL,
+    ):
+        assignment = tuple(assignment)
+        model = compiled_model(problem, assignment, mult)
+        layout = model.layout
+        self.n_vars = problem.n_vars
+        self.n_bits = model.qubo.n_bits
+        self.alpha = mult.alpha
+        self.cost_table = model.cost_table  # QUBO value per decision+slack index
+        self.centered = (model.cost_table - model.ising.identity).reshape(-1, 1 << self.n_vars)
+        self.decision = layout.decision
+        self.mixer = mixer_targets(assignment, layout)
+        excess = {
+            ci: excess_table(con.coeffs, con.bound)
+            for ci, (con, kind) in enumerate(zip(problem.constraints, assignment))
+            if kind != QAOA
+        }
+        self.blocks = []
+        for ci in block_order(assignment, ordering):
+            con = problem.constraints[ci]
+            # A bound at or above 2^width is vacuous: the gate build skips its flag.
+            projects = assignment[ci] == ZENO and con.bound < (1 << layout.registers[ci].width_m)
+            keep = excess[ci] == 0 if projects else None
+            self.blocks.append(_Block(assignment[ci], f"{ci} ({con.label!r})", excess[ci], keep))
+        feasible = np.ones(1 << self.n_vars, dtype=bool)
+        for ci, kind in enumerate(assignment):
+            if kind == ZENO:
+                feasible &= excess[ci] == 0
+        self.initial = np.zeros(self.centered.shape, dtype=np.complex128)
+        self.initial[:, feasible] = 1.0 / np.sqrt(feasible.sum() * self.initial.shape[0])
+
+    def _rx_wall(self, psi: np.ndarray, qubits, angle: float) -> None:
+        for q in qubits:
+            _apply_inplace(psi.reshape(-1), gate_rx(q, angle), self.n_bits)
+
+    def run(self, params: LayerParams) -> Statevector:
+        """Final state over the n_bits decision and slack bits, with survival.
+
+        Raises EmptySubspaceError, naming the constraint, layer and sub-block,
+        when a Zeno projection has probability at most 1e-12.
+        """
+        psi = self.initial.copy()
+        survival = 1.0
+        q_meas = params.q_measurements
+        for p, (gamma, beta) in enumerate(zip(params.gamma, params.beta)):
+            psi *= np.exp(-1j * gamma * self.centered)
+            for block in self.blocks:
+                if block.kind == DEPHASE:
+                    psi *= np.exp(-1j * gamma * self.alpha * block.excess)
+                    continue
+                for q in range(q_meas):
+                    self._rx_wall(psi, self.decision, beta / q_meas)
+                    if block.keep is None:
+                        continue
+                    prob = float(np.sum(np.abs(psi[:, block.keep]) ** 2))
+                    if prob <= 1e-12:
+                        raise EmptySubspaceError(
+                            f"Zeno projection of constraint {block.name} in layer "
+                            f"{p + 1}/{params.p_layers}, sub-block {q + 1}/{q_meas} "
+                            f"has probability {prob:.3e}"
+                        )
+                    psi = np.where(block.keep, psi, 0.0) / np.sqrt(prob)
+                    survival *= prob
+            self._rx_wall(psi, self.mixer, beta)
+        return Statevector(self.n_bits, psi.reshape(-1), survival)

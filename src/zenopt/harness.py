@@ -2,10 +2,11 @@
 sensitivity curves, block-ordering comparison, state-visit histograms, and
 CSV emission for all of them.
 
-Row metrics are evaluated in oracle mode (exact amplitudes through cheap
-functional twins); complexity statistics always come from the gate-mode
-build of the same circuit.  Rows are independent and seeded as base seed +
-row index, so any single row reproduces bit-exactly on its own.
+Row metrics, histograms and sampled metrics are evaluated on the functional
+backend (exact amplitudes on the decision and slack bits, no circuit
+built); complexity statistics come from one gate-level build of the same
+circuit.  Rows are independent and seeded as base seed + row index, so any
+single row reproduces bit-exactly on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arithmetic import GATE_MODE, ORACLE_MODE
 from .builder import (
     NATURAL,
     ORDERINGS,
@@ -27,11 +27,9 @@ from .builder import (
     LayerParams,
     build_circuit,
     circuit_stats,
-    compiled_model,
-    prepare_initial_state,
-    run_circuit,
 )
 from .errors import CapacityError, InputError, ZenoptError
+from .functional import FunctionalCircuit
 from .optimizer import (
     EvalResult,
     OptimizationTrace,
@@ -91,11 +89,8 @@ def run_assignment(
     start = time.perf_counter()
     stats = None
     try:
-        gate_circuit = build_circuit(
-            problem, assignment, mult, config.init_params, ordering, GATE_MODE
-        )
-        stats = circuit_stats(gate_circuit)
-        trace = optimize(problem, assignment, mult, config, ordering, ORACLE_MODE)
+        stats = circuit_stats(build_circuit(problem, assignment, mult, config.init_params, ordering))
+        trace = optimize(problem, assignment, mult, config, ordering)
         return SweepResult(
             assignment,
             stats,
@@ -170,7 +165,7 @@ def lagrange_sweep(
     rows = []
     for lam in lambdas:
         mult = Multipliers.uniform(problem.n_constraints, lam)
-        trace = optimize(problem, tuple(assignment), mult, config, ordering, ORACLE_MODE)
+        trace = optimize(problem, tuple(assignment), mult, config, ordering)
         rows.append((lam, trace.final))
     return rows
 
@@ -187,14 +182,10 @@ def state_visit_histogram(
     mult: Multipliers,
     params: LayerParams,
     ordering: str = NATURAL,
-    mode: str = ORACLE_MODE,
     support_eps: float = 1e-12,
 ) -> HistogramResult:
     """Decision-qubit marginal of the final state, keyed by basis string."""
-    assignment = tuple(assignment)
-    circuit = build_circuit(problem, assignment, mult, params, ordering, mode)
-    state = prepare_initial_state(problem, assignment, circuit.layout, mode)
-    state = run_circuit(circuit, state)
+    state = FunctionalCircuit(problem, assignment, mult, ordering).run(params)
     probs = marginal_probabilities(state, range(problem.n_vars))
     n = problem.n_vars
     table = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
@@ -223,12 +214,10 @@ def ordering_study(
     rows: dict[str, EvalResult] = {}
     for ordering in ORDERINGS:
         if reoptimize:
-            rows[ordering] = optimize(
-                problem, assignment, mult, config, ordering, ORACLE_MODE
-            ).final
+            rows[ordering] = optimize(problem, assignment, mult, config, ordering).final
         else:
             rows[ordering] = evaluate_params(
-                problem, assignment, mult, config.init_params, ordering, ORACLE_MODE
+                problem, assignment, mult, config.init_params, ordering
             )
     return rows
 
@@ -261,23 +250,18 @@ def sampled_metrics(
     shots: int,
     seed: int,
     ordering: str = NATURAL,
-    mode: str = ORACLE_MODE,
 ) -> EvalResult:
     """Shot-based estimates of the run metrics for realism studies."""
-    assignment = tuple(assignment)
-    circuit = build_circuit(problem, assignment, mult, params, ordering, mode)
-    state = prepare_initial_state(problem, assignment, circuit.layout, mode)
-    state = run_circuit(circuit, state)
+    circuit = FunctionalCircuit(problem, assignment, mult, ordering)
+    state = circuit.run(params)
     counts = sample(state, shots, seed)
-    model = compiled_model(problem, assignment, mult)
-    mask = (1 << model.qubo.n_bits) - 1
     dec_mask = (1 << problem.n_vars) - 1
     oracle = brute_force_solve(problem)
     cost = feas = opt = 0.0
     for string, count in counts.items():
         index = int(string, 2)
         weight = count / shots
-        cost += weight * float(model.cost_table[index & mask])
+        cost += weight * float(circuit.cost_table[index])
         if (index & dec_mask) in oracle.feasible_indices:
             feas += weight
         if (index & dec_mask) in oracle.optimal_indices:

@@ -1,28 +1,23 @@
 """Classical outer loop: evaluate circuit output against the compiled cost
 and search the (gamma, beta) angles with a derivative-free method.
 
-Evaluations are exact (statevector amplitudes, no shot noise), so the same
-seed and config always reproduce the same trace bit for bit.
+Evaluations run on the functional backend (``functional.py``) and are exact
+(amplitudes, no shot noise), so the same seed and config always reproduce
+the same trace bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .arithmetic import GATE_MODE
-from .builder import (
-    NATURAL,
-    LayerParams,
-    build_circuit,
-    compiled_model,
-    prepare_initial_state,
-    run_circuit,
-)
-from .errors import InputError
+from .builder import NATURAL, LayerParams
+from .errors import EmptySubspaceError, InputError
+from .functional import FunctionalCircuit
 from .problem import ConstrainedBinaryProblem, Multipliers, brute_force_solve
 from .statevector import marginal_probabilities
 
@@ -78,43 +73,44 @@ class OptimizationTrace:
         return self.final.expected_cost
 
 
-class _Evaluator:
-    """Caches the compiled cost table, oracle sets, and prepared initial
-    state: across evaluations only the circuit angles change."""
+# A search point whose Zeno projection annihilated the state: the searches
+# move away from it instead of losing the run.
+_ANNIHILATED = EvalResult(math.inf, 0.0, 0.0, 0.0)
 
-    def __init__(self, problem, assignment, mult, ordering, mode, q_measurements):
-        self.problem = problem
-        self.assignment = tuple(assignment)
-        self.mult = mult
-        self.ordering = ordering
-        self.mode = mode
+
+class _Evaluator:
+    """Holds the functional circuit (compiled cost table, excess tables,
+    initial state) and the brute-force feasible and optimal sets: across
+    evaluations only the angles change, and no gate circuit is built."""
+
+    def __init__(self, problem, assignment, mult, ordering, q_measurements):
+        self.n_vars = problem.n_vars
         self.q_measurements = q_measurements
-        model = compiled_model(problem, self.assignment, mult)
-        self.qubo = model.qubo
-        self.cost_table = model.cost_table
+        self.circuit = FunctionalCircuit(problem, assignment, mult, ordering)
         oracle = brute_force_solve(problem)
         self.feasible = np.fromiter(oracle.feasible_indices, dtype=np.int64)
         self.optimal = np.fromiter(oracle.optimal_indices, dtype=np.int64)
-        self.initial_state = prepare_initial_state(problem, self.assignment, model.layout, mode)
 
     def params(self, theta: np.ndarray) -> LayerParams:
         p = len(theta) // 2
         return LayerParams(tuple(theta[:p]), tuple(theta[p:]), self.q_measurements)
 
-    def __call__(self, theta: np.ndarray) -> EvalResult:
-        params = self.params(theta)
-        circuit = build_circuit(
-            self.problem, self.assignment, self.mult, params, self.ordering, self.mode
-        )
-        state = run_circuit(circuit, self.initial_state)
-        model_probs = marginal_probabilities(state, range(self.qubo.n_bits))
-        decision_probs = marginal_probabilities(state, range(self.problem.n_vars))
+    def evaluate(self, theta: np.ndarray) -> EvalResult:
+        state = self.circuit.run(self.params(theta))
+        decision_probs = marginal_probabilities(state, range(self.n_vars))
         return EvalResult(
-            expected_cost=float(model_probs @ self.cost_table),
+            expected_cost=float(state.probabilities() @ self.circuit.cost_table),
             p_feasible=float(decision_probs[self.feasible].sum()),
             p_optimal=float(decision_probs[self.optimal].sum()),
             survival_prob=state.survival_prob,
         )
+
+    def __call__(self, theta: np.ndarray) -> EvalResult:
+        """``evaluate`` for the searches: an annihilated point has infinite cost."""
+        try:
+            return self.evaluate(theta)
+        except EmptySubspaceError:
+            return _ANNIHILATED
 
 
 def evaluate_params(
@@ -123,16 +119,15 @@ def evaluate_params(
     mult: Multipliers,
     params: LayerParams,
     ordering: str = NATURAL,
-    mode: str = GATE_MODE,
 ) -> EvalResult:
     """Exact expectation of the compiled cost plus oracle-checked metrics.
 
     p_feasible / p_optimal are always measured against the brute-force
     feasible and optimal sets of the original problem, never the QUBO.
+    Raises EmptySubspaceError when a Zeno projection annihilates the state.
     """
-    evaluator = _Evaluator(problem, assignment, mult, ordering, mode, params.q_measurements)
-    theta = np.array(params.gamma + params.beta)
-    return evaluator(theta)
+    evaluator = _Evaluator(problem, assignment, mult, ordering, params.q_measurements)
+    return evaluator.evaluate(np.array(params.gamma + params.beta))
 
 
 def _record(i: int, ev: _Evaluator, theta: np.ndarray, res: EvalResult) -> TraceRecord:
@@ -261,18 +256,16 @@ def optimize(
     mult: Multipliers,
     config: OptimizerConfig,
     ordering: str = NATURAL,
-    mode: str = GATE_MODE,
 ) -> OptimizationTrace:
     """Derivative-free minimization of the expected compiled cost.
 
     Appends one best-seen record per iteration and stops when the best cost
     changed by less than exit_threshold over two consecutive iterations, or
-    at max_iters.
+    at max_iters.  A point at which a Zeno projection annihilates the state
+    is evaluated as infinite cost with zero probabilities and survival.
     """
     start = time.perf_counter()
-    ev = _Evaluator(
-        problem, assignment, mult, ordering, mode, config.init_params.q_measurements
-    )
+    ev = _Evaluator(problem, assignment, mult, ordering, config.init_params.q_measurements)
     theta0 = np.array(config.init_params.gamma + config.init_params.beta)
     records: list[TraceRecord] = []
     if config.search == NELDER_MEAD:

@@ -51,6 +51,10 @@ class ConstrainedBinaryProblem:
                 raise InputError(f"constraint {con.label!r} has wrong coefficient count")
             if con.bound < 0:
                 raise InputError(f"constraint {con.label!r} has negative bound")
+            # QAOA slack bits encode b - a.x >= 0, and the DEPHASE/ZENO cost
+            # registers hold a.x, so both assume a.x >= 0.
+            if any(c < 0 for c in con.coeffs):
+                raise InputError(f"constraint {con.label!r} has a negative coefficient")
         if self.var_labels and len(self.var_labels) != self.n_vars:
             raise InputError("var_labels length must equal n_vars")
 

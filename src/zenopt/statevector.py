@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, EmptySubspaceError, ShapeError
+from .errors import CapacityError, EmptySubspaceError, ShapeError
 
 MAX_QUBITS = 26
 
@@ -26,16 +26,14 @@ RZZ = "RZZ"
 CNOT = "CNOT"
 CPHASE = "CPHASE"
 MCX = "MCX"
-DIAGONAL_ORACLE = "DIAGONAL_ORACLE"
 
-GATE_KINDS = frozenset({H, X, RX, RZ, RZZ, CNOT, CPHASE, MCX, DIAGONAL_ORACLE})
+GATE_KINDS = frozenset({H, X, RX, RZ, RZZ, CNOT, CPHASE, MCX})
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 _index_cache: dict[int, np.ndarray] = {}
 _mask_cache: dict[tuple, np.ndarray] = {}
 _swap_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_perm_cache: dict[tuple, np.ndarray] = {}
 
 
 def _indices(n_qubits: int) -> np.ndarray:
@@ -48,15 +46,15 @@ def _indices(n_qubits: int) -> np.ndarray:
 
 
 def clear_simulation_caches() -> None:
-    """Drop cached selector masks, swap pairs, and permutation tables.
+    """Drop the cached selector masks and swap pairs of the gate kernels.
 
-    Long sweeps over many distinct circuit layouts call this between rows to
-    bound memory; within one layout the caches are what make repeated
-    evaluation fast.
+    The caches grow with every distinct (qubit count, qubit set) a gate run
+    touches and are never evicted; call this to release them after running
+    many distinct gate-circuit layouts.  Within one layout they are what
+    make repeated runs fast.
     """
     _mask_cache.clear()
     _swap_cache.clear()
-    _perm_cache.clear()
 
 
 def _ones_mask(n_qubits: int, bitmask: int) -> np.ndarray:
@@ -83,40 +81,6 @@ def _swap_pairs(n_qubits: int, control_mask: int, target: int) -> tuple[np.ndarr
 
 
 @dataclass(frozen=True)
-class Oracle:
-    """Basis-state function backing a DIAGONAL_ORACLE gate.
-
-    ``phase_fn`` maps an array of basis indices to real phases phi(z) and the
-    gate multiplies amplitude z by e^{i*phi(z)}.  ``perm_fn`` maps an array of
-    basis indices to a permutation of them and the gate relabels amplitudes.
-    Exactly one of the two must be set.  ``inv_perm_fn`` is required to invert
-    a permutation oracle.  A hashable ``cache_key`` identifying the function's
-    semantics lets equal permutation oracles share their index tables across
-    rebuilt circuits.
-    """
-
-    label: str
-    phase_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    perm_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    inv_perm_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    cache_key: tuple | None = None
-
-    def __post_init__(self):
-        if (self.phase_fn is None) == (self.perm_fn is None):
-            raise ContractError("oracle must define exactly one of phase_fn/perm_fn")
-
-    def permutation(self, n_qubits: int) -> np.ndarray:
-        if self.cache_key is None:
-            return np.asarray(self.perm_fn(_indices(n_qubits)), dtype=np.int64)
-        key = (n_qubits, self.cache_key)
-        table = _perm_cache.get(key)
-        if table is None:
-            table = np.asarray(self.perm_fn(_indices(n_qubits)), dtype=np.int64)
-            _perm_cache[key] = table
-        return table
-
-
-@dataclass(frozen=True)
 class Gate:
     """A single circuit operation over explicit qubit indices.
 
@@ -130,43 +94,18 @@ class Gate:
     kind: str
     qubits: tuple[int, ...]
     angle: float = 0.0
-    oracle: Oracle | None = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ShapeError(f"unknown gate kind {self.kind!r}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ShapeError(f"duplicate qubit in {self.kind} gate: {self.qubits}")
-        if self.kind == DIAGONAL_ORACLE and self.oracle is None:
-            raise ShapeError("DIAGONAL_ORACLE gate requires an oracle")
 
     def inverse(self) -> "Gate":
-        """Gate with the inverse action (negated angle or inverse oracle)."""
+        """Gate with the inverse action (self-inverse or negated angle)."""
         if self.kind in (H, X, CNOT, MCX):
             return self
-        if self.kind in (RX, RZ, RZZ, CPHASE):
-            return Gate(self.kind, self.qubits, -self.angle)
-        oracle = self.oracle
-        if oracle.phase_fn is not None:
-            fn = oracle.phase_fn
-            return Gate(
-                DIAGONAL_ORACLE,
-                self.qubits,
-                oracle=Oracle(oracle.label, phase_fn=lambda z, _f=fn: -_f(z)),
-            )
-        if oracle.inv_perm_fn is None:
-            raise ContractError(f"permutation oracle {oracle.label!r} has no inverse")
-        inv_key = None if oracle.cache_key is None else ("inv", oracle.cache_key)
-        return Gate(
-            DIAGONAL_ORACLE,
-            self.qubits,
-            oracle=Oracle(
-                oracle.label,
-                perm_fn=oracle.inv_perm_fn,
-                inv_perm_fn=oracle.perm_fn,
-                cache_key=inv_key,
-            ),
-        )
+        return Gate(self.kind, self.qubits, -self.angle)
 
 
 def gate_h(q: int) -> Gate:
@@ -319,14 +258,6 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
         lo = amps[src].copy()
         amps[src] = amps[dst]
         amps[dst] = lo
-    elif kind == DIAGONAL_ORACLE:
-        oracle = gate.oracle
-        if oracle.phase_fn is not None:
-            amps *= np.exp(1j * np.asarray(oracle.phase_fn(_indices(n_qubits)), dtype=np.float64))
-        else:
-            out = np.empty_like(amps)
-            out[oracle.permutation(n_qubits)] = amps
-            amps[...] = out
     else:  # pragma: no cover - guarded by GATE_KINDS
         raise ShapeError(f"unknown gate kind {kind!r}")
 

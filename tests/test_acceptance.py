@@ -14,6 +14,7 @@ import pytest
 from zenopt import (
     AnnealSchedule,
     DEPHASE,
+    FunctionalCircuit,
     LayerParams,
     Multipliers,
     OptimizerConfig,
@@ -42,7 +43,7 @@ from zenopt import (
     survival_empirical,
     zeno_limit_error,
 )
-from zenopt.builder import compiled_model
+from zenopt.builder import ancilla_mass, compiled_model
 from zenopt.problem import constraint_feasible_indices
 from zenopt.statevector import gate_h
 
@@ -319,22 +320,30 @@ def test_criterion_10_simulated_annealing_benchmark():
 
 
 def test_criterion_11_mode_equivalence_thirty_assignments():
+    # Gate circuit (ancilla-zero slice) against the functional backend.
     rng = np.random.default_rng(11)
     kinds = (QAOA, DEPHASE, ZENO)
     worst = 0.0
+    worst_ancilla = 0.0
     for _ in range(30):
         assignment = tuple(kinds[i] for i in rng.integers(0, 3, size=6))
         params = LayerParams(
             (float(rng.uniform(0.0, 0.3)),), (float(rng.uniform(0.0, 0.4)),), int(rng.integers(1, 3))
         )
-        states = {}
-        for mode in ("gate", "oracle"):
-            circuit = build_circuit(CARGO, assignment, MULT, params, mode=mode)
-            state = prepare_initial_state(CARGO, assignment, circuit.layout, mode)
-            states[mode] = run_circuit(circuit, state)
+        circuit = build_circuit(CARGO, assignment, MULT, params)
+        gate = run_circuit(circuit, prepare_initial_state(CARGO, assignment, circuit.layout))
+        functional = FunctionalCircuit(CARGO, assignment, MULT).run(params)
+        gate_slice = gate.amplitudes[: 1 << functional.n_qubits]
         worst = max(
-            worst, float(np.max(np.abs(states["gate"].amplitudes - states["oracle"].amplitudes)))
+            worst,
+            float(np.max(np.abs(gate_slice - functional.amplitudes))),
+            abs(gate.survival_prob - functional.survival_prob),
         )
-    ok = worst < 1e-8
-    _verdict(11, ok, f"worst amplitude mismatch {worst:.2e} over 30 sampled assignments")
+        worst_ancilla = max(worst_ancilla, ancilla_mass(gate, circuit.layout))
+    ok = worst < 1e-8 and worst_ancilla <= 1e-9
+    _verdict(
+        11, ok,
+        f"worst gate/functional mismatch {worst:.2e}, worst ancilla mass {worst_ancilla:.2e} "
+        f"over 30 sampled assignments",
+    )
     assert ok

@@ -15,6 +15,12 @@ from zenopt import (
 )
 from zenopt.statevector import gate_h, gate_rz, gate_x
 
+from zenopt.functional import excess_table
+
+# Every test here runs a gate circuit.  Under "gate" its register and flag
+# are checked against values computed in the test; under "oracle" against
+# the functional backend's excess tables, the ancilla-free twin that the
+# searches evaluate in place of these circuits.
 MODES = ("gate", "oracle")
 
 
@@ -28,35 +34,49 @@ def _register_value(index, qubits):
     return sum(((index >> q) & 1) << k for k, q in enumerate(qubits))
 
 
+def _sums(mode, weights):
+    """a.x for every assignment x of the weighted variables (x_0 = bit 0)."""
+    if mode == "oracle":
+        return [int(v) for v in excess_table(weights, 0)]
+    return [sum(w for i, w in enumerate(weights) if (x >> i) & 1) for x in range(1 << len(weights))]
+
+
+def _violated(mode, cost, threshold, width):
+    if mode == "oracle":
+        return bool(excess_table([1 << k for k in range(width)], threshold)[cost] > 0)
+    return cost > threshold
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_adder_example_weights_123(mode):
     layout = CostRegisterLayout((0, 1, 2), (3, 4, 5), 6, 3)
-    adder = build_cost_adder([1, 2, 3], layout, mode)
+    adder = build_cost_adder([1, 2, 3], layout)
     state = apply_gates(_basis(7, 0b101), adder)
     index = int(np.argmax(np.abs(state.amplitudes)))
-    assert _register_value(index, layout.cost_qubits) == 4
+    assert _register_value(index, layout.cost_qubits) == _sums(mode, [1, 2, 3])[0b101] == 4
     assert index & 0b111 == 0b101  # decision qubits unchanged
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_adder_zero_weights(mode):
     layout = CostRegisterLayout((0, 1, 2), (3,), 4, 1)
-    adder = build_cost_adder([0, 0, 0], layout, mode)
+    adder = build_cost_adder([0, 0, 0], layout)
     state = apply_gates(apply_gates(_basis(5, 0), [gate_h(q) for q in range(3)]), adder)
     probs = state.probabilities()
-    assert probs[[i for i in range(32) if (i >> 3) & 1]].sum() < 1e-12
+    sums = _sums(mode, [0, 0, 0])
+    assert probs[[i for i in range(32) if (i >> 3) & 1 != sums[i & 0b111]]].sum() < 1e-12
 
 
 def test_adder_overflow_is_layout_error():
     layout = CostRegisterLayout((0, 1, 2), (3, 4), 5, 2)
     with pytest.raises(LayoutError):
-        build_cost_adder([1, 2, 3], layout, "gate")
+        build_cost_adder([1, 2, 3], layout)
 
 
 def test_adder_rejects_negative_weights():
     layout = CostRegisterLayout((0,), (1, 2), 3, 2)
     with pytest.raises(LayoutError):
-        build_cost_adder([-1], layout, "gate")
+        build_cost_adder([-1], layout)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -67,23 +87,26 @@ def test_adder_exhaustive(mode, weights):
     layout = CostRegisterLayout(
         tuple(range(n_dec)), tuple(range(n_dec, n_dec + width)), n_dec + width, width
     )
-    adder = build_cost_adder(weights, layout, mode)
+    adder = build_cost_adder(weights, layout)
     n = n_dec + width + 1
+    sums = _sums(mode, weights)
     for x in range(1 << n_dec):
         state = apply_gates(_basis(n, x), adder)
         index = int(np.argmax(np.abs(state.amplitudes)))
-        expected = sum(w for i, w in enumerate(weights) if (x >> i) & 1)
-        assert _register_value(index, layout.cost_qubits) == expected
+        assert _register_value(index, layout.cost_qubits) == sums[x]
         assert abs(abs(state.amplitudes[index]) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_adder_modes_agree_on_superposition(mode):
+    # H on the decision qubits, then the adder: (1/sqrt 8) sum_x |x>|a.x>.
     layout = CostRegisterLayout((0, 1, 2), (3, 4, 5), 6, 3)
     start = apply_gates(_basis(7, 0), [gate_h(q) for q in range(3)])
-    reference = apply_gates(start, build_cost_adder([1, 2, 3], layout, "gate"))
-    other = apply_gates(start, build_cost_adder([1, 2, 3], layout, mode))
-    assert np.max(np.abs(reference.amplitudes - other.amplitudes)) < 1e-9
+    state = apply_gates(start, build_cost_adder([1, 2, 3], layout))
+    expected = np.zeros(1 << 7, dtype=complex)
+    for x, total in enumerate(_sums(mode, [1, 2, 3])):
+        expected[x | (total << 3)] = 1.0 / np.sqrt(8.0)
+    assert np.max(np.abs(state.amplitudes - expected)) < 1e-9
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -91,45 +114,50 @@ def test_adder_modes_agree_on_superposition(mode):
 def test_comparator_exhaustive(mode, width):
     layout = CostRegisterLayout((), tuple(range(width)), width, width)
     for threshold in range(1 << width):
-        comparator = build_comparator(layout, threshold, mode)
+        comparator = build_comparator(layout, threshold)
         for cost in range(1 << width):
             state = apply_gates(_basis(width + 1, cost), comparator)
             index = int(np.argmax(np.abs(state.amplitudes)))
-            assert (index >> width) & 1 == (1 if cost > threshold else 0)
+            assert (index >> width) & 1 == _violated(mode, cost, threshold, width)
             assert index & ((1 << width) - 1) == cost  # register unchanged
 
 
 def test_comparator_boundaries():
     layout = CostRegisterLayout((), (0, 1, 2), 3, 3)
-    comparator = build_comparator(layout, 3, "gate")
+    comparator = build_comparator(layout, 3)
     flagged = apply_gates(_basis(4, 4), comparator)
     assert (int(np.argmax(np.abs(flagged.amplitudes))) >> 3) & 1 == 1
     equal = apply_gates(_basis(4, 3), comparator)
     assert (int(np.argmax(np.abs(equal.amplitudes))) >> 3) & 1 == 0
-    zero = apply_gates(_basis(4, 0), build_comparator(layout, 0, "gate"))
+    zero = apply_gates(_basis(4, 0), build_comparator(layout, 0))
     assert (int(np.argmax(np.abs(zero.amplitudes))) >> 3) & 1 == 0
 
 
 def test_comparator_threshold_out_of_range():
     layout = CostRegisterLayout((), (0, 1), 2, 2)
     with pytest.raises(LayoutError):
-        build_comparator(layout, 4, "gate")
+        build_comparator(layout, 4)
     with pytest.raises(LayoutError):
-        build_comparator(layout, -1, "gate")
+        build_comparator(layout, -1)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_compute_uncompute_roundtrip(mode):
     layout = CostRegisterLayout((0, 1, 2), (3, 4, 5), 6, 3)
-    forward = build_cost_adder([1, 2, 3], layout, mode) + build_comparator(layout, 2, mode)
+    forward = build_cost_adder([1, 2, 3], layout) + build_comparator(layout, 2)
     start = apply_gates(
         _basis(7, 0), [gate_h(q) for q in range(3)] + [gate_rz(0, 0.37)]
     )
-    state = apply_gates(start, forward + build_uncompute(forward))
+    # the forward pass writes a.x and the flag [a.x > 2] on every branch
+    computed = apply_gates(start, forward)
+    sums = _sums(mode, [1, 2, 3])
+    idx = np.arange(1 << 7)
+    written = np.array([sums[i & 0b111] | (sums[i & 0b111] > 2) << 3 for i in idx])
+    assert computed.probabilities()[(idx >> 3) != written].sum() < 1e-10
+    state = apply_gates(computed, build_uncompute(forward))
     assert np.max(np.abs(state.amplitudes - start.amplitudes)) < 1e-10
     # dirty-ancilla branches carry no amplitude at all
     mask = 0b1111000
-    idx = np.arange(1 << 7)
     assert state.probabilities()[(idx & mask) != 0].sum() < 1e-10
 
 

@@ -6,13 +6,12 @@ import pytest
 from zenopt import (
     DEPHASE,
     EmptySubspaceError,
-    Gate,
+    FunctionalCircuit,
     InputError,
     LayerParams,
     Multipliers,
-    Oracle,
     QAOA,
-    StatsUnavailableError,
+    Statevector,
     ZENO,
     apply_gates,
     build_circuit,
@@ -77,13 +76,8 @@ def test_phase_return_matches_diagonal_oracle():
     state = apply_gates(new_state(n), [gate_h(q) for q in range(n)])
     via_gates = apply_gates(state, build_phase_return(ising, gamma))
     centered = qubo_values(qubo, np.arange(1 << n)) - ising.identity
-    oracle = Gate(
-        "DIAGONAL_ORACLE",
-        tuple(range(n)),
-        oracle=Oracle("cost", phase_fn=lambda z: -gamma * centered[z]),
-    )
-    via_oracle = apply_gates(state, [oracle])
-    assert np.max(np.abs(via_gates.amplitudes - via_oracle.amplitudes)) < 1e-9
+    via_oracle = state.amplitudes * np.exp(-1j * gamma * centered)
+    assert np.max(np.abs(via_gates.amplitudes - via_oracle)) < 1e-9
 
 
 def test_composition_identity_textbook_qaoa():
@@ -98,15 +92,8 @@ def test_composition_identity_textbook_qaoa():
     ising = qubo_to_ising(qubo)
     n = qubo.n_bits
     centered = qubo_values(qubo, np.arange(1 << n)) - ising.identity
-    oracle = Gate(
-        "DIAGONAL_ORACLE",
-        tuple(range(n)),
-        oracle=Oracle("cost", phase_fn=lambda z: -gamma * centered[z]),
-    )
-    reference = apply_gates(
-        new_state(n),
-        [gate_h(q) for q in range(n)] + [oracle] + [gate_rx(q, beta) for q in range(n)],
-    )
+    phased = np.exp(-1j * gamma * centered) / np.sqrt(1 << n)
+    reference = apply_gates(Statevector(n, phased), [gate_rx(q, beta) for q in range(n)])
     assert np.max(np.abs(hybrid.amplitudes - reference.amplitudes)) < 1e-9
     assert np.max(np.abs(hybrid.probabilities() - reference.probabilities())) < 1e-9
 
@@ -120,22 +107,30 @@ def _constraint_costs(problem, ci):
 
 @pytest.mark.parametrize("mode", ["gate", "oracle"])
 def test_dephasing_layer_matches_functional_oracle(mode):
-    # Net effect on every decision basis state is e^{-i*theta*alpha*max(0, cost-c)}.
+    # Net effect on every decision basis state is e^{-i*theta*alpha*max(0, cost-c)}:
+    # "gate" runs the gate layer alone, "oracle" the functional backend's
+    # dephasing block behind its phase return (beta = 0 makes the mixer idle).
     problem = cargo()
     alpha, theta = 0.8, 0.45
     model = compiled_model(problem, WEIGHT_DEPHASE, MULT)
-    reg = model.layout.registers[0]
-    layer = build_dephasing_layer(
-        problem.constraints[0].coeffs, 3, reg, alpha, theta, mode
-    )
-    n = model.layout.n_qubits
-    state = apply_gates(new_state(n), [gate_h(q) for q in range(problem.n_vars)])
-    evolved = apply_gates(state, layer)
     costs = _constraint_costs(problem, 0)
-    expected = state.amplitudes.copy()
+    if mode == "gate":
+        reg = model.layout.registers[0]
+        layer = build_dephasing_layer(problem.constraints[0].coeffs, 3, reg, alpha, theta)
+        n = model.layout.n_qubits
+        state = apply_gates(new_state(n), [gate_h(q) for q in range(problem.n_vars)])
+        evolved = apply_gates(state, layer).amplitudes
+        start = state.amplitudes
+    else:
+        mult = Multipliers(MULT.lambdas, alpha)
+        circuit = FunctionalCircuit(problem, WEIGHT_DEPHASE, mult)
+        evolved = circuit.run(LayerParams((theta,), (0.0,))).amplitudes
+        n = circuit.n_bits
+        centered = model.cost_table - model.ising.identity
+        start = np.exp(-1j * theta * centered) / np.sqrt(1 << n)
     dec = np.arange(1 << n) & 63
-    expected *= np.exp(-1j * theta * alpha * np.maximum(0, costs[dec] - 3))
-    assert np.max(np.abs(evolved.amplitudes - expected)) < 1e-8
+    expected = start * np.exp(-1j * theta * alpha * np.maximum(0, costs[dec] - 3))
+    assert np.max(np.abs(evolved - expected)) < 1e-8
 
 
 def test_dephasing_boundary_and_alpha_zero():
@@ -204,6 +199,16 @@ def test_zeno_layer_infeasible_entry_annihilates():
     state = apply_gates(state, gates[: positions[0]])
     with pytest.raises(EmptySubspaceError):
         project_qubit(state, reg.flag_qubit, 0)
+
+
+def test_zeno_layer_vacuous_bound_only_mixes():
+    # Bound 16 >= 2^4 (the weight register width): no cost can violate it,
+    # so each sub-block is the RX wall alone, with no flag to project.
+    problem = cargo()
+    reg = compiled_model(problem, WEIGHT_ZENO, MULT).layout.registers[0]
+    gates, positions = build_zeno_layer(problem.constraints[0].coeffs, 16, reg, 0.3, 2, range(6))
+    assert positions == []
+    assert [g.kind for g in gates] == ["RX"] * 12
 
 
 def test_build_circuit_layout_all_qaoa():
@@ -299,7 +304,7 @@ def test_ancilla_hygiene_full_circuit():
 
 def test_circuit_stats_empty_and_cnot():
     layout_empty = build_layout(cargo(), ALL_QAOA, 3)
-    empty = HybridCircuit(layout_empty, [], [], "natural", 2, "gate")
+    empty = HybridCircuit(layout_empty, [], [], "natural", 2)
     stats = circuit_stats(empty)
     assert (stats.size, stats.depth, stats.width) == (0, 0, 3)
     assert stats.n_unitary_factors == 3
@@ -307,20 +312,13 @@ def test_circuit_stats_empty_and_cnot():
     from zenopt.statevector import gate_cnot
 
     layout2 = build_layout(cargo(), ALL_QAOA, 2)
-    single = HybridCircuit(layout2, [gate_cnot(0, 1)], [], "natural", 2, "gate")
+    single = HybridCircuit(layout2, [gate_cnot(0, 1)], [], "natural", 2)
     stats = circuit_stats(single)
     assert stats.non_local_gates == 1
     assert stats.depth == 1
     assert stats.size == 1
     assert stats.n_unitary_factors == 1
     assert stats.size >= stats.depth
-
-
-def test_circuit_stats_oracle_mode_unavailable():
-    problem = cargo()
-    circuit = build_circuit(problem, WEIGHT_ZENO, MULT, LayerParams((0.1,), (0.1,)), mode="oracle")
-    with pytest.raises(StatsUnavailableError):
-        circuit_stats(circuit)
 
 
 def test_circuit_stats_counts_projections_as_clbits():
@@ -333,18 +331,19 @@ def test_circuit_stats_counts_projections_as_clbits():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gate_oracle_mode_equivalence_random_assignments(seed):
+    # The gate circuit's ancilla-zero slice equals the functional backend's state.
     problem = cargo()
     rng = np.random.default_rng(seed)
     kinds = (QAOA, DEPHASE, ZENO)
     assignment = tuple(kinds[i] for i in rng.integers(0, 3, size=6))
     params = LayerParams((float(rng.uniform(0, 0.4)),), (float(rng.uniform(0, 0.5)),), 2)
-    states = {}
-    for mode in ("gate", "oracle"):
-        circuit = build_circuit(problem, assignment, MULT, params, mode=mode)
-        state = prepare_initial_state(problem, assignment, circuit.layout, mode)
-        states[mode] = run_circuit(circuit, state)
-    diff = np.max(np.abs(states["gate"].amplitudes - states["oracle"].amplitudes))
+    circuit = build_circuit(problem, assignment, MULT, params)
+    gate = run_circuit(circuit, prepare_initial_state(problem, assignment, circuit.layout))
+    functional = FunctionalCircuit(problem, assignment, MULT).run(params)
+    assert ancilla_mass(gate, circuit.layout) < 1e-9
+    diff = np.max(np.abs(gate.amplitudes[: 1 << functional.n_qubits] - functional.amplitudes))
     assert diff < 1e-8
+    assert abs(gate.survival_prob - functional.survival_prob) < 1e-10
 
 
 def test_circuit_json_dump():

@@ -56,6 +56,19 @@ def test_enumerate_assignments_capacity():
         enumerate_assignments(9)
 
 
+@pytest.mark.parametrize("index", [610, 634])
+def test_family_rows_survive_annihilated_search_points(index):
+    # Z,D,D,D,Z,D and Z,D,Z,D,D,D: Nelder-Mead reaches angles at which a Zeno
+    # projection annihilates the state; the row must still come back whole.
+    assignment = enumerate_assignments(6)[index]
+    config = OptimizerConfig(max_iters=40, seed=index)
+    row = run_assignment(cargo(), assignment, Multipliers.uniform(6, 13), config)
+    assert row.error == ""
+    assert math.isfinite(row.expected_cost)
+    assert 0.0 <= row.p_optimal <= row.p_feasible <= 1.0
+    assert 0.0 < row.survival_prob <= 1.0
+
+
 def test_family_sweep_small_problem():
     problem = tiny()
     mult = Multipliers.uniform(3, 3.0)

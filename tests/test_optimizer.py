@@ -1,17 +1,29 @@
+import math
+
+import numpy as np
 import pytest
 
 from zenopt import (
     DEPHASE,
+    ConstrainedBinaryProblem,
+    Constraint,
+    EmptySubspaceError,
     InputError,
     LayerParams,
     Multipliers,
     OptimizerConfig,
     QAOA,
     ZENO,
+    brute_force_solve,
+    build_circuit,
     cargo_instance,
     evaluate_params,
+    marginal_probabilities,
     optimize,
+    prepare_initial_state,
+    run_circuit,
 )
+from zenopt.builder import compiled_model
 
 MULT = Multipliers.uniform(6, 13)
 ALL_QAOA = (QAOA,) * 6
@@ -42,11 +54,43 @@ def test_all_qaoa_survival_stays_one():
 
 
 def test_gate_and_oracle_metrics_agree():
+    # evaluate_params runs the functional backend; read the same metrics off
+    # the gate circuit's final state.
+    problem = cargo()
     params = LayerParams((0.17,), (0.36,), 2)
-    gate = evaluate_params(cargo(), WEIGHT_ZENO, MULT, params, mode="gate")
-    oracle = evaluate_params(cargo(), WEIGHT_ZENO, MULT, params, mode="oracle")
-    assert abs(gate.expected_cost - oracle.expected_cost) < 1e-8
-    assert abs(gate.p_feasible - oracle.p_feasible) < 1e-10
+    circuit = build_circuit(problem, WEIGHT_ZENO, MULT, params)
+    state = run_circuit(circuit, prepare_initial_state(problem, WEIGHT_ZENO, circuit.layout))
+    model = compiled_model(problem, WEIGHT_ZENO, MULT)
+    gate_cost = marginal_probabilities(state, range(model.qubo.n_bits)) @ model.cost_table
+    feasible = sorted(brute_force_solve(problem).feasible_indices)
+    gate_feasible = marginal_probabilities(state, range(problem.n_vars))[feasible].sum()
+    functional = evaluate_params(problem, WEIGHT_ZENO, MULT, params)
+    assert abs(gate_cost - functional.expected_cost) < 1e-8
+    assert abs(gate_feasible - functional.p_feasible) < 1e-10
+    assert abs(state.survival_prob - functional.survival_prob) < 1e-10
+
+
+# One variable, x <= 0 as a Zeno constraint: RX(pi) moves the whole state
+# onto the infeasible x = 1, so the projection annihilates it.
+ZENO_OFF = ConstrainedBinaryProblem(1, (1,), (Constraint((1,), 0, "off"),))
+
+
+def test_annihilated_projection_names_its_block():
+    params = LayerParams((0.0,), (math.pi,))
+    with pytest.raises(EmptySubspaceError) as info:
+        evaluate_params(ZENO_OFF, (ZENO,), Multipliers.uniform(1, 2.0), params)
+    message = str(info.value)
+    assert "'off'" in message and "layer 1/1" in message and "sub-block 1/1" in message
+
+
+def test_search_evaluates_annihilated_point_as_infinite_cost():
+    config = OptimizerConfig(max_iters=10, seed=0, init_params=LayerParams((0.0,), (math.pi,)))
+    trace = optimize(ZENO_OFF, (ZENO,), Multipliers.uniform(1, 2.0), config)
+    first = trace.records[0]
+    assert first.expected_cost == math.inf
+    assert first.p_feasible == first.p_optimal == first.survival_prob == 0.0
+    assert np.isfinite(trace.final.expected_cost)
+    assert 0.0 < trace.final.survival_prob <= 1.0
 
 
 def test_max_iters_one_returns_init_evaluation():

@@ -169,6 +169,17 @@ def test_problem_validation():
         cargo_instance([], 2, 3)
 
 
+def test_negative_coefficients_rejected():
+    # (-1, 1) . x <= 0 with lambda = 5: QAOA slack bits assume a.x >= 0, so
+    # the feasible x_1 = 1, x_0 = 0 would compile to cost 4, like the
+    # infeasible x_0 = 1, x_1 = 0.  Every path rejects such a constraint.
+    with pytest.raises(InputError, match="'diff'"):
+        ConstrainedBinaryProblem(2, (1, 1), (Constraint((-1, 1), 0, "diff"),))
+    doc = '{"objective": [1, 1], "constraints": [{"coeffs": [-1, 1], "bound": 0, "label": "diff"}]}'
+    with pytest.raises(InputError, match="'diff'"):
+        problem_from_json(doc)
+
+
 def test_json_roundtrip():
     problem = cargo()
     text = problem_to_json(problem)

@@ -3,10 +3,8 @@ import pytest
 
 from zenopt import (
     CapacityError,
-    ContractError,
     EmptySubspaceError,
     Gate,
-    Oracle,
     ShapeError,
     apply_gate,
     apply_gates,
@@ -211,30 +209,6 @@ def test_expectation_diagonal_scalar_fallback():
     uniform = apply_gates(new_state(2), [gate_h(0), gate_h(1)])
     table = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
     assert abs(expectation_diagonal(uniform, lambda z: table[z]) - 2.5) < 1e-12
-
-
-def test_diagonal_oracle_phase_exact():
-    rng = np.random.default_rng(2)
-    state = apply_gates(new_state(3), _random_circuit(rng, 3, length=20))
-    phase = Gate(
-        "DIAGONAL_ORACLE",
-        (0, 1, 2),
-        oracle=Oracle("test", phase_fn=lambda z: 0.3 * z.astype(float)),
-    )
-    out = apply_gate(state, phase)
-    z = np.arange(8)
-    assert np.allclose(out.amplitudes, state.amplitudes * np.exp(0.3j * z))
-    assert np.allclose(np.abs(out.amplitudes), np.abs(state.amplitudes))
-
-
-def test_permutation_oracle_requires_inverse():
-    perm = Gate(
-        "DIAGONAL_ORACLE",
-        (0,),
-        oracle=Oracle("swap", perm_fn=lambda z: z ^ 1),
-    )
-    with pytest.raises(ContractError):
-        perm.inverse()
 
 
 def test_basis_string_msb_first():
