@@ -85,7 +85,6 @@ from .statevector import (
     apply_gate,
     apply_gates,
     basis_string,
-    clear_simulation_caches,
     expectation_diagonal,
     marginal_probabilities,
     new_state,

@@ -86,10 +86,7 @@ def _cmd_solve(args) -> None:
 def _cmd_sweep_family(args) -> None:
     problem = load_problem(args.problem)
     mult = _multipliers(problem, args)
-    config = OptimizerConfig(
-        max_iters=args.iters, seed=args.seed, init_params=LayerParams.initial(args.p, args.q)
-    )
-    rows = run_family_sweep(problem, mult, config, args.ordering, workers=args.workers)
+    rows = run_family_sweep(problem, mult, _config(args), args.ordering, workers=args.workers)
     write_family_csv(rows, args.out)
     failed = sum(1 for r in rows if r.error)
     print(f"{len(rows)} assignments swept, {failed} failed rows -> {args.out}")

@@ -269,31 +269,36 @@ def sampled_metrics(
     return EvalResult(cost, feas, opt, state.survival_prob)
 
 
-def write_family_csv(rows: list[SweepResult], path: str) -> None:
+def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(FAMILY_CSV_COLUMNS)
-        for row in rows:
-            stats = row.stats
-            writer.writerow(
-                [
-                    ",".join(row.assignment),
-                    stats.non_local_gates if stats else "",
-                    stats.n_qubits if stats else "",
-                    stats.n_clbits if stats else "",
-                    stats.depth if stats else "",
-                    stats.width if stats else "",
-                    stats.size if stats else "",
-                    stats.n_parameters if stats else "",
-                    stats.n_unitary_factors if stats else "",
-                    row.expected_cost,
-                    row.p_feasible,
-                    row.p_optimal,
-                    row.survival_prob,
-                    row.wall_time,
-                    row.error,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _family_csv_row(row: SweepResult) -> list:
+    stats = row.stats
+    return [
+        ",".join(row.assignment),
+        stats.non_local_gates if stats else "",
+        stats.n_qubits if stats else "",
+        stats.n_clbits if stats else "",
+        stats.depth if stats else "",
+        stats.width if stats else "",
+        stats.size if stats else "",
+        stats.n_parameters if stats else "",
+        stats.n_unitary_factors if stats else "",
+        row.expected_cost,
+        row.p_feasible,
+        row.p_optimal,
+        row.survival_prob,
+        row.wall_time,
+        row.error,
+    ]
+
+
+def write_family_csv(rows: list[SweepResult], path: str) -> None:
+    _write_csv(path, FAMILY_CSV_COLUMNS, map(_family_csv_row, rows))
 
 
 def write_trace_csv(trace: OptimizationTrace, path: str) -> None:
@@ -306,53 +311,33 @@ def write_trace_csv(trace: OptimizationTrace, path: str) -> None:
         + [f"beta_{i}" for i in range(p)]
         + ["expected_cost", "p_feasible", "p_optimal", "survival_prob"]
     )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in trace.records:
-            writer.writerow(
-                [rec.iteration, *rec.gamma, *rec.beta, rec.expected_cost,
-                 rec.p_feasible, rec.p_optimal, rec.survival_prob]
-            )
+    rows = (
+        [rec.iteration, *rec.gamma, *rec.beta, rec.expected_cost,
+         rec.p_feasible, rec.p_optimal, rec.survival_prob]
+        for rec in trace.records
+    )
+    _write_csv(path, header, rows)
 
 
 def write_lagrange_csv(rows: list[tuple[float, EvalResult]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "expected_cost", "p_feasible", "p_optimal", "survival"])
-        for lam, res in rows:
-            writer.writerow([lam, *res])
+    header = ["lambda", "expected_cost", "p_feasible", "p_optimal", "survival"]
+    _write_csv(path, header, ([lam, *res] for lam, res in rows))
 
 
 def write_ordering_csv(rows: dict[str, EvalResult], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ordering", "expected_cost", "p_feasible", "p_optimal", "survival"])
-        for ordering, res in rows.items():
-            writer.writerow([ordering, *res])
+    header = ["ordering", "expected_cost", "p_feasible", "p_optimal", "survival"]
+    _write_csv(path, header, ([ordering, *res] for ordering, res in rows.items()))
 
 
 def write_histogram_csv(result: HistogramResult, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "probability"])
-        for state, prob in sorted(result.probabilities.items()):
-            writer.writerow([state, prob])
+    _write_csv(path, ["state", "probability"], sorted(result.probabilities.items()))
 
 
 def write_zeno_csv(rows: list[dict[str, float]], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "survival_empirical", "survival_analytic", "limit_error"])
-        for row in rows:
-            writer.writerow(
-                [row["n"], row["survival_empirical"], row["survival_analytic"], row["limit_error"]]
-            )
+    header = ["n", "survival_empirical", "survival_analytic", "limit_error"]
+    _write_csv(path, header, ([row[key] for key in header] for row in rows))
 
 
 def write_sa_csv(trace, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "state", "cost", "accepted"])
-        for rec in trace:
-            writer.writerow([rec.step, rec.state, rec.cost, int(rec.accepted)])
+    rows = ([rec.step, rec.state, rec.cost, int(rec.accepted)] for rec in trace)
+    _write_csv(path, ["step", "state", "cost", "accepted"], rows)

@@ -3,6 +3,16 @@
 Qubit 0 is the least significant bit of a basis index; basis strings are
 printed most-significant qubit first.  All operations are pure: they return
 new ``Statevector`` values and never mutate their arguments.
+
+Kernels keep no caches.  A gate on two or more qubits and a projection act on
+a strided view of the amplitudes read as one axis per qubit (qubit q is axis
+n-1-q), with the qubits the operation conditions on pinned to a bit; single-
+qubit gates use the equivalent ``(-1, 2, 2**q)`` reshape.
+
+Capacity: a state holds 2**n complex128 amplitudes, 16 * 2**n bytes, which
+is 1 GiB at ``MAX_QUBITS`` = 26.  A gate run holds at most about 4 copies of
+that at once: the caller's state, the working copy, and the half-size
+temporaries of a kernel or the output of a projection.
 """
 
 from __future__ import annotations
@@ -31,53 +41,18 @@ GATE_KINDS = frozenset({H, X, RX, RZ, RZZ, CNOT, CPHASE, MCX})
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
-_index_cache: dict[int, np.ndarray] = {}
-_mask_cache: dict[tuple, np.ndarray] = {}
-_swap_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
+def _bits_view(amps: np.ndarray, n_qubits: int, fixed: dict[int, int]) -> np.ndarray:
+    """Strided view of ``amps`` with each qubit in ``fixed`` pinned to its bit.
 
-def _indices(n_qubits: int) -> np.ndarray:
-    """Cached ``arange(2**n)`` used for mask-based gate application."""
-    arr = _index_cache.get(n_qubits)
-    if arr is None:
-        arr = np.arange(1 << n_qubits, dtype=np.int64)
-        _index_cache[n_qubits] = arr
-    return arr
-
-
-def clear_simulation_caches() -> None:
-    """Drop the cached selector masks and swap pairs of the gate kernels.
-
-    The caches grow with every distinct (qubit count, qubit set) a gate run
-    touches and are never evicted; call this to release them after running
-    many distinct gate-circuit layouts.  Within one layout they are what
-    make repeated runs fast.
+    The amplitudes are read as one axis per qubit, qubit q on axis n-1-q, and
+    the free qubits keep their axes.  The trailing Ellipsis keeps the result a
+    writable 0-d view when every qubit is pinned.
     """
-    _mask_cache.clear()
-    _swap_cache.clear()
-
-
-def _ones_mask(n_qubits: int, bitmask: int) -> np.ndarray:
-    """Cached boolean selector of basis states with all ``bitmask`` bits set."""
-    key = (n_qubits, bitmask)
-    sel = _mask_cache.get(key)
-    if sel is None:
-        idx = _indices(n_qubits)
-        sel = (idx & bitmask) == bitmask
-        _mask_cache[key] = sel
-    return sel
-
-
-def _swap_pairs(n_qubits: int, control_mask: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (src, dst) index pairs for controlled-X style swaps."""
-    key = (n_qubits, control_mask, target)
-    pairs = _swap_cache.get(key)
-    if pairs is None:
-        idx = _indices(n_qubits)
-        src = idx[((idx & control_mask) == control_mask) & ((idx >> target) & 1 == 0)]
-        pairs = (src, src | (1 << target))
-        _swap_cache[key] = pairs
-    return pairs
+    idx: list = [slice(None)] * n_qubits
+    for q, bit in fixed.items():
+        idx[n_qubits - 1 - q] = bit
+    return amps.reshape((2,) * n_qubits)[(*idx, ...)]
 
 
 @dataclass(frozen=True)
@@ -175,9 +150,18 @@ class Statevector:
 
 
 def new_state(n_qubits: int) -> Statevector:
-    """All-zeros computational basis state |0...0> on ``n_qubits`` qubits."""
+    """All-zeros computational basis state |0...0> on ``n_qubits`` qubits.
+
+    The state takes 16 * 2**n bytes; see the module docstring for the copies
+    a gate run holds on top of it.
+    """
     if not 1 <= n_qubits <= MAX_QUBITS:
-        raise CapacityError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+        size = f" ({(16 << n_qubits) / 2**30:g} GiB per state)" if n_qubits > 0 else ""
+        raise CapacityError(
+            f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}{size}: a state takes "
+            f"16*2^n bytes, {(16 << MAX_QUBITS) >> 30} GiB at {MAX_QUBITS} qubits, and a "
+            "gate run holds up to about 4 copies"
+        )
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return Statevector(n_qubits, amps, 1.0)
@@ -240,24 +224,21 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     if kind == RZZ:
         a, b = gate.qubits
         # Phase the whole state by e^{-i a/2}, then the odd-parity branch by
-        # e^{+i a} on top, using the cached single-bit selectors.
-        odd = _ones_mask(n_qubits, 1 << a) ^ _ones_mask(n_qubits, 1 << b)
+        # e^{+i a} on top.
         amps *= np.exp(-0.5j * gate.angle)
-        amps[odd] *= np.exp(1j * gate.angle)
+        for bit in (0, 1):
+            _bits_view(amps, n_qubits, {a: bit, b: 1 - bit})[...] *= np.exp(1j * gate.angle)
     elif kind == CPHASE:
-        mask = 0
-        for q in gate.qubits:
-            mask |= 1 << q
-        amps[_ones_mask(n_qubits, mask)] *= np.exp(1j * gate.angle)
+        ones = dict.fromkeys(gate.qubits, 1)
+        _bits_view(amps, n_qubits, ones)[...] *= np.exp(1j * gate.angle)
     elif kind in (CNOT, MCX):
         *controls, target = gate.qubits
-        cmask = 0
-        for q in controls:
-            cmask |= 1 << q
-        src, dst = _swap_pairs(n_qubits, cmask, target)
-        lo = amps[src].copy()
-        amps[src] = amps[dst]
-        amps[dst] = lo
+        fixed = dict.fromkeys(controls, 1)
+        lo = _bits_view(amps, n_qubits, {**fixed, target: 0})
+        hi = _bits_view(amps, n_qubits, {**fixed, target: 1})
+        t = lo.copy()
+        lo[...] = hi
+        hi[...] = t
     else:  # pragma: no cover - guarded by GATE_KINDS
         raise ShapeError(f"unknown gate kind {kind!r}")
 
@@ -289,14 +270,14 @@ def project_qubit(state: Statevector, qubit: int, outcome: int) -> Statevector:
         raise ShapeError(f"qubit {qubit} out of range")
     if outcome not in (0, 1):
         raise ShapeError(f"outcome must be 0 or 1, got {outcome}")
-    bits = (_indices(state.n_qubits) >> qubit) & 1
-    keep = bits == outcome
-    prob = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
+    kept = _bits_view(state.amplitudes, state.n_qubits, {qubit: outcome})
+    prob = float(np.sum(np.abs(kept) ** 2))
     if prob <= 1e-12:
         raise EmptySubspaceError(
             f"projection of qubit {qubit} onto |{outcome}> has probability {prob:.3e}"
         )
-    amps = np.where(keep, state.amplitudes, 0.0) / np.sqrt(prob)
+    amps = np.zeros_like(state.amplitudes)
+    np.divide(kept, np.sqrt(prob), out=_bits_view(amps, state.n_qubits, {qubit: outcome}))
     return Statevector(state.n_qubits, amps, state.survival_prob * prob)
 
 
@@ -318,7 +299,7 @@ def expectation_diagonal(state: Statevector, value_fn: Callable) -> float:
     ``value_fn`` is preferably vectorized over an int64 index array; plain
     scalar functions are accepted and evaluated per basis state.
     """
-    idx = _indices(state.n_qubits)
+    idx = np.arange(state.dim, dtype=np.int64)
     try:
         vals = np.asarray(value_fn(idx), dtype=np.float64)
         if vals.shape != idx.shape:
@@ -331,12 +312,15 @@ def expectation_diagonal(state: Statevector, value_fn: Callable) -> float:
 def marginal_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
     """Probability of each joint outcome of ``qubits`` (qubits[0] = bit 0)."""
     qubits = list(qubits)
+    n = state.n_qubits
+    if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
+        raise ShapeError(f"marginal qubits {qubits} must be distinct and in [0, {n})")
     probs = state.probabilities()
     k = len(qubits)
     if qubits == list(range(k)):  # contiguous low qubits reduce by reshape
         return probs.reshape(-1, 1 << k).sum(axis=0)
-    idx = _indices(state.n_qubits)
-    key = np.zeros_like(idx)
-    for bit, q in enumerate(qubits):
-        key |= ((idx >> q) & 1) << bit
-    return np.bincount(key, weights=probs, minlength=1 << k)
+    # Move the kept axes to the front, qubits[0] last (fastest), sum the rest.
+    kept = [n - 1 - q for q in reversed(qubits)]
+    rest = [a for a in range(n) if a not in kept]
+    table = probs.reshape((2,) * n).transpose(kept + rest)
+    return table.sum(axis=tuple(range(k, n))).reshape(-1)

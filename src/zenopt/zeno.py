@@ -108,12 +108,8 @@ def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float
     return float(1.0 - t * eps * theta**2)
 
 
-def survival_empirical(hamiltonian, projector, psi0, t: float, n_measurements: int) -> float:
-    """Exact survival ||(P exp(-i H t/N))^N psi0||^2.
-
-    Requires P psi0 = psi0: survival is measured for a state starting inside
-    the projected subspace.
-    """
+def _projected_evolution(hamiltonian, projector, psi0, t: float, n_measurements: int):
+    """Validated (H, P, psi0) and the product (P exp(-i H t/N))^N psi0."""
     mat = _as_matrix(hamiltonian)
     _check_hermitian(mat, "Hamiltonian")
     proj = _as_matrix(projector)
@@ -121,12 +117,22 @@ def survival_empirical(hamiltonian, projector, psi0, t: float, n_measurements: i
     if n_measurements < 1:
         raise ContractError("n_measurements must be >= 1")
     psi = _state(psi0, mat.shape[0])
-    if np.linalg.norm(proj @ psi - psi) > 1e-10:
-        raise ContractError("initial state must lie inside the projected subspace")
     step = expm_hermitian(mat, t / n_measurements)
     vec = psi
     for _ in range(n_measurements):
         vec = proj @ (step @ vec)
+    return mat, proj, psi, vec
+
+
+def survival_empirical(hamiltonian, projector, psi0, t: float, n_measurements: int) -> float:
+    """Exact survival ||(P exp(-i H t/N))^N psi0||^2.
+
+    Requires P psi0 = psi0: survival is measured for a state starting inside
+    the projected subspace.
+    """
+    _, proj, psi, vec = _projected_evolution(hamiltonian, projector, psi0, t, n_measurements)
+    if np.linalg.norm(proj @ psi - psi) > 1e-10:
+        raise ContractError("initial state must lie inside the projected subspace")
     return float(np.linalg.norm(vec) ** 2)
 
 
@@ -144,16 +150,6 @@ def zeno_limit_error(hamiltonian, projector, psi0, t: float, n_measurements: int
 
     Returns ||(P exp(-i H t/N))^N psi0 - P exp(-i P H P t) psi0||.
     """
-    mat = _as_matrix(hamiltonian)
-    _check_hermitian(mat, "Hamiltonian")
-    proj = _as_matrix(projector)
-    _check_projector(proj)
-    if n_measurements < 1:
-        raise ContractError("n_measurements must be >= 1")
-    psi = _state(psi0, mat.shape[0])
-    step = expm_hermitian(mat, t / n_measurements)
-    vec = psi
-    for _ in range(n_measurements):
-        vec = proj @ (step @ vec)
+    mat, proj, psi, vec = _projected_evolution(hamiltonian, projector, psi0, t, n_measurements)
     limit = proj @ (expm_hermitian(proj @ mat @ proj, t) @ psi)
     return float(np.linalg.norm(vec - limit))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,20 @@ def test_ancilla_hygiene_full_circuit():
     state = prepare_initial_state(problem, assignment, circuit.layout)
     out = run_circuit(circuit, state)
     assert ancilla_mass(out, circuit.layout) < 1e-9
+
+
+def test_run_circuit_peak_memory_within_state_copies():
+    assignment = parse_assignment("DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA")
+    circuit = build_circuit(cargo(), assignment, MULT, LayerParams((0.1,), (0.2,), 2))
+    state = prepare_initial_state(cargo(), assignment, circuit.layout)
+    assert circuit.layout.n_qubits == 16
+    tracemalloc.start()
+    try:
+        run_circuit(circuit, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
 
 
 def test_circuit_stats_empty_and_cnot():

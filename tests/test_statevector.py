@@ -6,6 +6,7 @@ from zenopt import (
     EmptySubspaceError,
     Gate,
     ShapeError,
+    Statevector,
     apply_gate,
     apply_gates,
     basis_string,
@@ -138,8 +139,6 @@ def test_projection_born_rule():
 
 def test_projection_unequal_weights():
     amps = np.array([np.sqrt(0.25), np.sqrt(0.75)], dtype=complex)
-    from zenopt import Statevector
-
     state = Statevector(1, amps, 1.0)
     projected = project_qubit(state, 0, 1)
     assert np.allclose(projected.amplitudes, [0, 1])
@@ -222,3 +221,107 @@ def test_marginal_probabilities():
     assert np.allclose(probs, [0.5, 0.5, 0, 0])
     probs = marginal_probabilities(state, [2])
     assert np.allclose(probs, [0, 1])
+
+
+def test_marginal_probabilities_rejects_bad_qubits():
+    state = apply_gate(new_state(3), gate_x(0))
+    with pytest.raises(ShapeError):
+        marginal_probabilities(state, [5])
+    with pytest.raises(ShapeError):
+        marginal_probabilities(state, [0, 0])
+
+
+# Dense references: each kernel against its unitary built from 2x2 Kronecker
+# products, qubit n-1 leftmost so that qubit 0 is the least significant bit.
+_I2 = np.eye(2)
+_P1 = np.diag([0.0, 1.0])
+_XM = np.array([[0.0, 1.0], [1.0, 0.0]])
+_ZM = np.diag([1.0, -1.0])
+
+
+def _embed(n, factors):
+    out = np.ones((1, 1))
+    for q in reversed(range(n)):
+        out = np.kron(out, factors.get(q, _I2))
+    return out
+
+
+def _dense(gate, n):
+    a = gate.angle
+    c, s = np.cos(a / 2), np.sin(a / 2)
+    eye = np.eye(1 << n)
+    if gate.kind == "H":
+        return _embed(n, {gate.qubits[0]: np.array([[1, 1], [1, -1]]) / np.sqrt(2)})
+    if gate.kind == "X":
+        return _embed(n, {gate.qubits[0]: _XM})
+    if gate.kind == "RX":
+        return _embed(n, {gate.qubits[0]: np.array([[c, -1j * s], [-1j * s, c]])})
+    if gate.kind == "RZ":
+        return _embed(n, {gate.qubits[0]: np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])})
+    if gate.kind == "RZZ":
+        return c * eye - 1j * s * _embed(n, dict.fromkeys(gate.qubits, _ZM))
+    if gate.kind == "CPHASE":
+        return eye + (np.exp(1j * a) - 1) * _embed(n, dict.fromkeys(gate.qubits, _P1))
+    *controls, target = gate.qubits  # CNOT, MCX
+    return eye + _embed(n, {**dict.fromkeys(controls, _P1), target: _XM - _I2})
+
+
+def _kernel_cases(n, rng):
+    def angle():
+        return float(rng.uniform(-np.pi, np.pi))
+
+    top = n - 1
+    gates = []
+    for q in sorted({0, top, int(rng.integers(n))}):
+        gates += [gate_h(q), gate_x(q), gate_rx(q, angle()), gate_rz(q, angle()), gate_phase(q, angle())]
+    perm = [int(q) for q in rng.permutation(n)]
+    gates.append(gate_cphase(perm, angle()))  # every qubit pinned: the 0-d view
+    gates.append(gate_cphase(perm[: int(rng.integers(1, n + 1))], angle()))
+    if n >= 2:
+        gates.append(gate_rzz(perm[0], perm[1], angle()))
+        gates.append(gate_cnot(top, 0))
+        gates.append(gate_cnot(0, top))
+        gates.append(Gate("MCX", tuple(perm)))  # all qubits, unsorted controls
+        for target in (0, top):
+            controls = [q for q in perm if q != target][: int(rng.integers(1, n))]
+            gates.append(Gate("MCX", (*controls, target)))
+    return gates
+
+
+def _random_state(n, rng):
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return Statevector(n, amps / np.linalg.norm(amps), 0.75)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gate_kernels_match_dense_unitaries(n):
+    rng = np.random.default_rng(100 + n)
+    for gate in _kernel_cases(n, rng):
+        state = _random_state(n, rng)
+        out = apply_gate(state, gate)
+        expected = _dense(gate, n) @ state.amplitudes
+        assert np.max(np.abs(out.amplitudes - expected)) < 1e-12, gate
+        assert out.survival_prob == state.survival_prob
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_projection_and_marginals_match_bit_extraction(n):
+    rng = np.random.default_rng(200 + n)
+    state = _random_state(n, rng)
+    probs = state.probabilities()
+    idx = np.arange(1 << n)
+    for qubit in range(n):
+        for outcome in (0, 1):
+            keep = ((idx >> qubit) & 1) == outcome
+            prob = np.sum(probs[keep])
+            projected = project_qubit(state, qubit, outcome)
+            expected = np.where(keep, state.amplitudes, 0) / np.sqrt(prob)
+            assert np.max(np.abs(projected.amplitudes - expected)) < 1e-12
+            assert abs(projected.survival_prob - 0.75 * prob) < 1e-12
+    for k in range(1, n + 1):
+        qubits = [int(q) for q in rng.permutation(n)[:k]]
+        key = np.zeros_like(idx)
+        for bit, q in enumerate(qubits):
+            key |= ((idx >> q) & 1) << bit
+        expected = np.bincount(key, weights=probs, minlength=1 << k)
+        assert np.max(np.abs(marginal_probabilities(state, qubits) - expected)) < 1e-12

@@ -165,6 +165,18 @@ def test_zeno_limit_error_log_log_slope():
     assert -1.5 <= slope <= -0.6
 
 
+def test_zeno_limit_error_accepts_state_outside_subspace():
+    # Unlike survival_empirical, the limit formula needs no P psi0 = psi0.
+    rng = np.random.default_rng(3)
+    h = _random_hermitian(rng, 4, norm=1.5)
+    proj = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    psi = _random_state(rng, 4)
+    assert np.linalg.norm(proj @ psi - psi) > 0.1
+    assert zeno_limit_error(h, proj, psi, 1.0, 256) < zeno_limit_error(h, proj, psi, 1.0, 4)
+    with pytest.raises(ContractError):
+        zeno_limit_error(h, proj, psi, 1.0, 0)
+
+
 def test_contract_errors():
     nonherm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ContractError):
