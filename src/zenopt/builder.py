@@ -38,6 +38,7 @@ from .problem import (
     ConstrainedBinaryProblem,
     IsingCoeffs,
     Multipliers,
+    check_kinds,
     compile_qubo,
     qubo_to_ising,
     qubo_values,
@@ -134,11 +135,7 @@ class CircuitStats:
 
 
 def parse_assignment(text: str) -> tuple[str, ...]:
-    kinds = tuple(part.strip().upper() for part in text.split(","))
-    for kind in kinds:
-        if kind not in (QAOA, DEPHASE, ZENO):
-            raise InputError(f"unknown representation {kind!r}")
-    return kinds
+    return check_kinds(part.strip().upper() for part in text.split(","))
 
 
 def _constraint_support(coeffs) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -291,10 +288,8 @@ def build_circuit(
 ) -> HybridCircuit:
     """Full hybrid circuit for a representation assignment."""
     assignment = tuple(assignment)
-    if len(assignment) != problem.n_constraints:
-        raise InputError("assignment length must equal the number of constraints")
-    blocks = block_order(assignment, ordering)
     model = compiled_model(problem, assignment, mult)
+    blocks = block_order(assignment, ordering)
     ising, layout = model.ising, model.layout
     mixer = mixer_targets(assignment, layout)
 

@@ -15,9 +15,10 @@ order, as
 
 The initial state is uniform over the decision states that satisfy every
 ZENO constraint, for every slack value.  No circuit is built per run: a
-``FunctionalCircuit`` keeps the per-constraint excess tables and runs any
-angles.  The gate backend stays the reference; its ancilla-zero slice is
-what these amplitudes are tested against.
+``FunctionalCircuit`` takes its blocks' excess rows and Zeno masks from the
+problem's cached ``constraint_excess`` table and runs any angles.  The gate
+backend stays the reference; its ancilla-zero slice is what these amplitudes
+are tested against.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ import numpy as np
 
 from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets
 from .errors import EmptySubspaceError
-from .problem import DEPHASE, QAOA, ZENO, ConstrainedBinaryProblem, Multipliers, bits_of
+from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess, subset_sums
 from .statevector import Statevector, _apply_inplace, gate_rx
 
 
 def excess_table(coeffs, bound: int) -> np.ndarray:
     """max(0, a.x - b) for every assignment x of len(coeffs) variables (x_0 = bit 0)."""
-    n = len(coeffs)
-    sums = bits_of(np.arange(1 << n), n) @ np.asarray(coeffs, dtype=np.float64)
-    return np.maximum(0.0, sums - bound)
+    return np.maximum(0.0, subset_sums(coeffs) - bound)
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,7 @@ class FunctionalCircuit:
         self.centered = (model.cost_table - model.ising.identity).reshape(-1, 1 << self.n_vars)
         self.decision = layout.decision
         self.mixer = mixer_targets(assignment, layout)
-        excess = {
-            ci: excess_table(con.coeffs, con.bound)
-            for ci, (con, kind) in enumerate(zip(problem.constraints, assignment))
-            if kind != QAOA
-        }
+        excess = constraint_excess(problem)
         self.blocks = []
         for ci in block_order(assignment, ordering):
             con = problem.constraints[ci]
@@ -79,10 +74,7 @@ class FunctionalCircuit:
             projects = assignment[ci] == ZENO and con.bound < (1 << layout.registers[ci].width_m)
             keep = excess[ci] == 0 if projects else None
             self.blocks.append(_Block(assignment[ci], f"{ci} ({con.label!r})", excess[ci], keep))
-        feasible = np.ones(1 << self.n_vars, dtype=bool)
-        for ci, kind in enumerate(assignment):
-            if kind == ZENO:
-                feasible &= excess[ci] == 0
+        feasible = ~excess[[ci for ci, kind in enumerate(assignment) if kind == ZENO]].any(axis=0)
         self.initial = np.zeros(self.centered.shape, dtype=np.complex128)
         self.initial[:, feasible] = 1.0 / np.sqrt(feasible.sum() * self.initial.shape[0])
 

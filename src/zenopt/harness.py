@@ -41,7 +41,7 @@ from .problem import (
     REP_KINDS,
     ConstrainedBinaryProblem,
     Multipliers,
-    brute_force_solve,
+    solution_masks,
 )
 from .statevector import marginal_probabilities, sample
 from .zeno import survival_analytic, survival_empirical, zeno_limit_error
@@ -256,17 +256,15 @@ def sampled_metrics(
     state = circuit.run(params)
     counts = sample(state, shots, seed)
     dec_mask = (1 << problem.n_vars) - 1
-    oracle = brute_force_solve(problem)
+    feasible, optimal = solution_masks(problem)
     cost = feas = opt = 0.0
     for string, count in counts.items():
         index = int(string, 2)
         weight = count / shots
         cost += weight * float(circuit.cost_table[index])
-        if (index & dec_mask) in oracle.feasible_indices:
-            feas += weight
-        if (index & dec_mask) in oracle.optimal_indices:
-            opt += weight
-    return EvalResult(cost, feas, opt, state.survival_prob)
+        feas += weight * feasible[index & dec_mask]
+        opt += weight * optimal[index & dec_mask]
+    return EvalResult(cost, float(feas), float(opt), state.survival_prob)
 
 
 def _write_csv(path: str, header, rows) -> None:

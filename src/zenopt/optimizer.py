@@ -18,7 +18,7 @@ import numpy as np
 from .builder import NATURAL, LayerParams
 from .errors import EmptySubspaceError, InputError
 from .functional import FunctionalCircuit
-from .problem import ConstrainedBinaryProblem, Multipliers, brute_force_solve
+from .problem import ConstrainedBinaryProblem, Multipliers, solution_masks
 from .statevector import marginal_probabilities
 
 NELDER_MEAD = "nelder_mead"
@@ -80,16 +80,14 @@ _ANNIHILATED = EvalResult(math.inf, 0.0, 0.0, 0.0)
 
 class _Evaluator:
     """Holds the functional circuit (compiled cost table, excess tables,
-    initial state) and the brute-force feasible and optimal sets: across
+    initial state) and the feasible and optimal decision-state masks: across
     evaluations only the angles change, and no gate circuit is built."""
 
     def __init__(self, problem, assignment, mult, ordering, q_measurements):
         self.n_vars = problem.n_vars
         self.q_measurements = q_measurements
         self.circuit = FunctionalCircuit(problem, assignment, mult, ordering)
-        oracle = brute_force_solve(problem)
-        self.feasible = np.fromiter(oracle.feasible_indices, dtype=np.int64)
-        self.optimal = np.fromiter(oracle.optimal_indices, dtype=np.int64)
+        self.feasible, self.optimal = solution_masks(problem)
 
     def params(self, theta: np.ndarray) -> LayerParams:
         p = len(theta) // 2

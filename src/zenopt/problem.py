@@ -131,15 +131,19 @@ class Qubo:
         return np.einsum("ij,ij->i", qx, bits) + bits @ self.B + self.const_term
 
 
-def bits_of(indices: np.ndarray, n_bits: int) -> np.ndarray:
-    """(N, n_bits) 0/1 matrix for basis indices, bit 0 in column 0."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
-    return ((idx >> np.arange(n_bits, dtype=np.int64)) & 1).astype(np.float64)
-
-
 def qubo_values(qubo: Qubo, indices: np.ndarray) -> np.ndarray:
     """QUBO cost of each basis index over the qubo's bit layout."""
-    return qubo.value(bits_of(indices, qubo.n_bits))
+    idx = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
+    return qubo.value(((idx >> np.arange(qubo.n_bits, dtype=np.int64)) & 1).astype(np.float64))
+
+
+def check_kinds(kinds) -> tuple[str, ...]:
+    """The representation kinds as a tuple; InputError for any outside REP_KINDS."""
+    kinds = tuple(kinds)
+    for kind in kinds:
+        if kind not in REP_KINDS:
+            raise InputError(f"unknown representation {kind!r}")
+    return kinds
 
 
 def compile_qubo(problem: ConstrainedBinaryProblem, assignment, mult: Multipliers) -> Qubo:
@@ -149,7 +153,7 @@ def compile_qubo(problem: ConstrainedBinaryProblem, assignment, mult: Multiplier
     delta = sum_k 2^k C_k so that lambda * (a . x + delta - b)^2 penalizes any
     violation; DEPHASE/ZENO constraints contribute nothing here.
     """
-    assignment = tuple(assignment)
+    assignment = check_kinds(assignment)
     if len(assignment) != problem.n_constraints:
         raise InputError("assignment length must equal the number of constraints")
     if len(mult.lambdas) != problem.n_constraints:
@@ -240,36 +244,45 @@ class BruteForceResult:
         return frozenset(format(i, f"0{self.n_vars}b") for i in self.feasible_indices)
 
 
+def subset_sums(coeffs) -> np.ndarray:
+    """int64 a.x for every assignment x of len(coeffs) variables (x_0 = bit 0), by doubling."""
+    sums = np.zeros(1, dtype=np.int64)
+    for c in coeffs:
+        sums = np.concatenate((sums, sums + c))
+    return sums
+
+
+@lru_cache(maxsize=64)
+def constraint_excess(problem: ConstrainedBinaryProblem) -> np.ndarray:
+    """Read-only (n_constraints, 2^n_vars) int64 max(0, a.x - b), the one enumeration of
+    constraint sums: 8 * n_constraints * 2^n_vars bytes, 128 MiB per constraint at 24 vars."""
+    if problem.n_vars > BRUTE_FORCE_MAX_VARS:
+        raise CapacityError(f"enumeration capped at {BRUTE_FORCE_MAX_VARS} vars, got {problem.n_vars}")
+    table = np.empty((problem.n_constraints, 1 << problem.n_vars), dtype=np.int64)
+    for row, con in zip(table, problem.constraints):
+        np.maximum(subset_sums(con.coeffs) - con.bound, 0, out=row)
+    table.flags.writeable = False
+    return table
+
+
+def solution_masks(problem: ConstrainedBinaryProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean (feasible, optimal) masks over the 2^n_vars decision states."""
+    feasible = ~constraint_excess(problem).any(axis=0)
+    values = subset_sums(problem.objective)
+    return feasible, feasible & (values == values[feasible].max())
+
+
 @lru_cache(maxsize=64)
 def brute_force_solve(problem: ConstrainedBinaryProblem) -> BruteForceResult:
     """Exact enumeration of all 2^n assignments, the ground-truth oracle."""
-    n = problem.n_vars
-    if n > BRUTE_FORCE_MAX_VARS:
-        raise CapacityError(f"brute force capped at {BRUTE_FORCE_MAX_VARS} vars, got {n}")
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx.reshape(-1, 1) >> np.arange(n, dtype=np.int64)) & 1
-    feasible = np.ones(len(idx), dtype=bool)
-    for con in problem.constraints:
-        feasible &= bits @ np.asarray(con.coeffs, dtype=np.int64) <= con.bound
-    values = bits @ np.asarray(problem.objective, dtype=np.int64)
-    feas_idx = idx[feasible]
-    opt_value = int(values[feasible].max())
-    opt_idx = feas_idx[values[feasible] == opt_value]
-    return BruteForceResult(opt_value, frozenset(map(int, opt_idx)), frozenset(map(int, feas_idx)), n)
+    feasible, optimal = (np.flatnonzero(mask).tolist() for mask in solution_masks(problem))
+    opt_value = int(sum(c for v, c in enumerate(problem.objective) if optimal[0] >> v & 1))
+    return BruteForceResult(opt_value, frozenset(optimal), frozenset(feasible), problem.n_vars)
 
 
 def constraint_feasible_indices(problem: ConstrainedBinaryProblem, which: list[int]) -> frozenset[int]:
     """Decision states satisfying the selected constraints (ignoring the rest)."""
-    n = problem.n_vars
-    if n > BRUTE_FORCE_MAX_VARS:
-        raise CapacityError(f"enumeration capped at {BRUTE_FORCE_MAX_VARS} vars")
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx.reshape(-1, 1) >> np.arange(n, dtype=np.int64)) & 1
-    keep = np.ones(len(idx), dtype=bool)
-    for ci in which:
-        con = problem.constraints[ci]
-        keep &= bits @ np.asarray(con.coeffs, dtype=np.int64) <= con.bound
-    return frozenset(map(int, idx[keep]))
+    return frozenset(np.flatnonzero(~constraint_excess(problem)[list(which)].any(axis=0)).tolist())
 
 
 def problem_to_json(problem: ConstrainedBinaryProblem) -> str:

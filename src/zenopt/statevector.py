@@ -138,6 +138,11 @@ class Statevector:
     amplitudes: np.ndarray
     survival_prob: float = 1.0
 
+    def __post_init__(self):
+        shape = np.shape(self.amplitudes)
+        if shape != (2**self.n_qubits,):
+            raise ShapeError(f"a {self.n_qubits}-qubit state needs shape ({2**self.n_qubits},), got {shape}")
+
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits

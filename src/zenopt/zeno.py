@@ -72,9 +72,7 @@ class Projector:
 
 def expm_hermitian(hamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H via eigendecomposition."""
-    mat = _as_matrix(hamiltonian)
-    _check_hermitian(mat, "Hamiltonian")
-    evals, vecs = np.linalg.eigh(mat)
+    evals, vecs = np.linalg.eigh(DenseHamiltonian(hamiltonian).matrix)
     return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 
 
@@ -95,8 +93,7 @@ def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float
     the small-interval expansion taken at face value, so the result is not
     clamped and can drop below 0 for long times.
     """
-    mat = _as_matrix(hamiltonian)
-    _check_hermitian(mat, "Hamiltonian")
+    mat = DenseHamiltonian(hamiltonian).matrix
     if n_measurements < 1:
         raise ContractError("n_measurements must be >= 1")
     psi = _state(psi0, mat.shape[0])
@@ -108,12 +105,17 @@ def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float
     return float(1.0 - t * eps * theta**2)
 
 
+def _hamiltonian_and_projector(hamiltonian, projector) -> tuple[np.ndarray, np.ndarray]:
+    """Validated H and P matrices, which must have the same dimension."""
+    mat, proj = DenseHamiltonian(hamiltonian).matrix, Projector(projector).matrix
+    if mat.shape != proj.shape:
+        raise ContractError(f"Hamiltonian shape {mat.shape} differs from projector shape {proj.shape}")
+    return mat, proj
+
+
 def _projected_evolution(hamiltonian, projector, psi0, t: float, n_measurements: int):
     """Validated (H, P, psi0) and the product (P exp(-i H t/N))^N psi0."""
-    mat = _as_matrix(hamiltonian)
-    _check_hermitian(mat, "Hamiltonian")
-    proj = _as_matrix(projector)
-    _check_projector(proj)
+    mat, proj = _hamiltonian_and_projector(hamiltonian, projector)
     if n_measurements < 1:
         raise ContractError("n_measurements must be >= 1")
     psi = _state(psi0, mat.shape[0])
@@ -138,10 +140,7 @@ def survival_empirical(hamiltonian, projector, psi0, t: float, n_measurements: i
 
 def zeno_hamiltonian(hamiltonian, projector) -> DenseHamiltonian:
     """Generator P H P of the dynamics inside the measured subspace."""
-    mat = _as_matrix(hamiltonian)
-    _check_hermitian(mat, "Hamiltonian")
-    proj = _as_matrix(projector)
-    _check_projector(proj)
+    mat, proj = _hamiltonian_and_projector(hamiltonian, projector)
     return DenseHamiltonian(proj @ mat @ proj)
 
 

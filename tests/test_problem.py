@@ -6,19 +6,33 @@ from zenopt import (
     ConstrainedBinaryProblem,
     Constraint,
     ContractError,
+    FunctionalCircuit,
     InputError,
+    LayerParams,
     Multipliers,
+    OptimizerConfig,
     brute_force_solve,
+    build_circuit,
     cargo_instance,
     compile_qubo,
     default_multipliers,
+    optimize,
+    parse_assignment,
     problem_from_json,
     problem_to_json,
     qubo_to_ising,
     qubo_values,
+    run_assignment,
     slack_width,
 )
-from zenopt.problem import QAOA, ZENO, Qubo
+from zenopt.problem import (
+    QAOA,
+    ZENO,
+    Qubo,
+    constraint_excess,
+    constraint_feasible_indices,
+    subset_sums,
+)
 
 
 def cargo():
@@ -192,3 +206,69 @@ def test_json_malformed():
         problem_from_json("{not json")
     with pytest.raises(InputError):
         problem_from_json('{"constraints": []}')
+
+
+def _random_problem(seed, n_vars, n_cons):
+    rng = np.random.default_rng(seed)
+    constraints = tuple(
+        Constraint(tuple(int(c) for c in rng.integers(0, 4, size=n_vars)), int(rng.integers(0, 6)))
+        for _ in range(n_cons)
+    )
+    objective = tuple(int(v) for v in rng.integers(-3, 5, size=n_vars))
+    return ConstrainedBinaryProblem(n_vars, objective, constraints)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_constraint_excess_matches_per_state_sums(seed):
+    problem = _random_problem(seed, 1 + seed, seed % 4)
+    table = constraint_excess(problem)
+    assert table.shape == (problem.n_constraints, 1 << problem.n_vars)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    objective = subset_sums(problem.objective)
+    for x in range(1 << problem.n_vars):
+        bits = [(x >> v) & 1 for v in range(problem.n_vars)]
+        assert objective[x] == sum(c * b for c, b in zip(problem.objective, bits))
+        for ci, con in enumerate(problem.constraints):
+            assert table[ci, x] == max(0, sum(c * b for c, b in zip(con.coeffs, bits)) - con.bound)
+    result = brute_force_solve(problem)
+    assert result.feasible_indices == constraint_feasible_indices(problem, range(problem.n_constraints))
+    assert result.feasible_indices == frozenset(np.flatnonzero(~table.any(axis=0)).tolist())
+
+
+def test_constraint_excess_capacity():
+    with pytest.raises(CapacityError):
+        constraint_excess(ConstrainedBinaryProblem(25, (1,) * 25, ()))
+
+
+@pytest.mark.parametrize("seed", [None, *range(8)])
+def test_qubo_minimum_is_negated_optimum(seed):
+    # All-QAOA with every lambda above sum|objective|: a violation costs at
+    # least lambda, more than any objective gain, and a feasible state's
+    # slack can take b - a.x, so the QUBO minimum is the negated optimum.
+    problem = cargo() if seed is None else _random_problem(seed, 2 + seed % 4, 1 + seed % 3)
+    rng = np.random.default_rng(seed)
+    total = sum(abs(c) for c in problem.objective)
+    lambdas = tuple(float(v) for v in total + rng.uniform(0.01, 2.0, size=problem.n_constraints))
+    qubo = compile_qubo(problem, (QAOA,) * problem.n_constraints, Multipliers(lambdas, 1.0))
+    values = qubo_values(qubo, np.arange(1 << qubo.n_bits))
+    assert abs(values.min() + brute_force_solve(problem).opt_value) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["Z", "zeno"])
+def test_unknown_kind_rejected_everywhere(kind):
+    problem = cargo()
+    mult = default_multipliers(problem)
+    assignment = (kind,) * problem.n_constraints
+    message = f"unknown representation {kind!r}"
+    with pytest.raises(InputError, match=message):
+        compile_qubo(problem, assignment, mult)
+    with pytest.raises(InputError, match=message):
+        optimize(problem, assignment, mult, OptimizerConfig(max_iters=40))
+    with pytest.raises(InputError, match=message):
+        FunctionalCircuit(problem, assignment, mult)
+    with pytest.raises(InputError, match=message):
+        build_circuit(problem, assignment, mult, LayerParams.initial())
+    row = run_assignment(problem, assignment, mult, OptimizerConfig(max_iters=40))
+    assert row.error.startswith("InputError: unknown representation")
+    with pytest.raises(InputError, match="unknown representation 'MAGIC'"):
+        parse_assignment("QAOA,MAGIC")

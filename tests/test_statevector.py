@@ -325,3 +325,12 @@ def test_projection_and_marginals_match_bit_extraction(n):
             key |= ((idx >> q) & 1) << bit
         expected = np.bincount(key, weights=probs, minlength=1 << k)
         assert np.max(np.abs(marginal_probabilities(state, qubits) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_qubits, amplitudes",
+    [(3, np.ones(4) / 2), (2, np.ones(8) / np.sqrt(8)), (2, np.ones((2, 2)) / 2), (1, np.ones(1))],
+)
+def test_statevector_rejects_wrong_amplitude_count(n_qubits, amplitudes):
+    with pytest.raises(ShapeError, match=f"{n_qubits}-qubit state"):
+        Statevector(n_qubits, amplitudes)

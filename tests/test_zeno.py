@@ -232,3 +232,14 @@ def test_zeno_layer_matches_dense_model():
     psi0 = np.array([1.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(3.0)
     dense = survival_empirical(mixer, feasible, psi0, beta, q_measurements)
     assert abs(survival_circuit - dense) < 1e-6
+
+
+def test_mismatched_hamiltonian_and_projector_dimensions():
+    proj = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    shapes = r"\(2, 2\).*\(4, 4\)"
+    with pytest.raises(ContractError, match=shapes):
+        survival_empirical(PAULI_X, proj, KET_0, 0.5, 3)
+    with pytest.raises(ContractError, match=shapes):
+        zeno_limit_error(PAULI_X, proj, KET_0, 0.5, 3)
+    with pytest.raises(ContractError, match=shapes):
+        zeno_hamiltonian(PAULI_X, proj)
