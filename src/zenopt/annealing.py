@@ -26,15 +26,12 @@ class AnnealSchedule:
     t_end: float = 0.05
     steps: int = 5000
     seed: int = 0
-    flips_per_step: int = 1
 
     def __post_init__(self):
         if not self.t_start >= self.t_end > 0:
             raise InputError("need t_start >= t_end > 0")
         if self.steps < 1:
             raise InputError("steps must be >= 1")
-        if self.flips_per_step < 1:
-            raise InputError("flips_per_step must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -69,22 +66,17 @@ def anneal(problem: ConstrainedBinaryProblem, mult: Multipliers, schedule: Annea
     best_bits, best_cost = bits.copy(), cost
     trace: list[VisitRecord] = []
     for step in range(schedule.steps):
-        if schedule.steps > 1:
-            frac = step / (schedule.steps - 1)
-        else:
-            frac = 0.0
+        frac = step / (schedule.steps - 1) if schedule.steps > 1 else 0.0
         temperature = schedule.t_start * (schedule.t_end / schedule.t_start) ** frac
-        accepted = False
-        for _ in range(schedule.flips_per_step):
-            flip = int(rng.integers(0, n))
-            candidate = bits.copy()
-            candidate[flip] = 1.0 - candidate[flip]
-            cand_cost = cost_of(candidate)
-            delta = cand_cost - cost
-            if delta <= 0 or rng.random() < np.exp(-delta / temperature):
-                bits, cost = candidate, cand_cost
-                accepted = True
-                if cost < best_cost:
-                    best_bits, best_cost = bits.copy(), cost
+        flip = int(rng.integers(0, n))
+        candidate = bits.copy()
+        candidate[flip] = 1.0 - candidate[flip]
+        cand_cost = cost_of(candidate)
+        delta = cand_cost - cost
+        accepted = bool(delta <= 0 or rng.random() < np.exp(-delta / temperature))
+        if accepted:
+            bits, cost = candidate, cand_cost
+            if cost < best_cost:
+                best_bits, best_cost = bits.copy(), cost
         trace.append(VisitRecord(step, state_str(bits), cost, accepted))
     return AnnealResult(state_str(best_bits), best_cost, trace)

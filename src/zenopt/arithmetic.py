@@ -65,10 +65,6 @@ def _qft(qubits: Sequence[int]) -> list[Gate]:
     return gates
 
 
-def _inverted(gates: list[Gate]) -> list[Gate]:
-    return [g.inverse() for g in reversed(gates)]
-
-
 def _fourier_add_gates(value: int, control: int | None, cost_qubits: Sequence[int]) -> list[Gate]:
     """Phase rotations adding ``value`` (optionally controlled) in Fourier space."""
     gates: list[Gate] = []
@@ -101,7 +97,7 @@ def build_cost_adder(weights: Sequence[int], layout: CostRegisterLayout) -> list
     gates = _qft(layout.cost_qubits)
     for w, d in zip(weights, layout.decision_qubits):
         gates.extend(_fourier_add_gates(w, d, layout.cost_qubits))
-    gates.extend(_inverted(_qft(layout.cost_qubits)))
+    gates.extend(build_uncompute(_qft(layout.cost_qubits)))
     return gates
 
 

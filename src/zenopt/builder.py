@@ -189,6 +189,17 @@ def _penalty_phase_gates(reg: CostRegisterLayout, bound: int, alpha: float, thet
     return gates
 
 
+def _flag_circuit(constraint_coeffs, bound: int, reg: CostRegisterLayout) -> list[Gate]:
+    """Adder plus comparator flagging cost > bound, or [] when the bound is
+    vacuous (at or above 2^width: no cost exceeds it, so there is no flag)."""
+    support, weights = _constraint_support(constraint_coeffs)
+    if support != reg.decision_qubits:
+        raise LayoutError("register layout does not match the constraint support")
+    if bound >= (1 << reg.width_m):
+        return []
+    return build_cost_adder(weights, reg) + build_comparator(reg, bound)
+
+
 def build_dephasing_layer(
     constraint_coeffs,
     bound: int,
@@ -201,15 +212,11 @@ def build_dephasing_layer(
     Net effect is the diagonal phase e^{-i*theta*alpha*max(0, cost-bound)}
     with all ancillas restored.
     """
-    support, weights = _constraint_support(constraint_coeffs)
-    if support != reg.decision_qubits:
-        raise LayoutError("register layout does not match the constraint support")
-    if bound >= (1 << reg.width_m):
+    forward = _flag_circuit(constraint_coeffs, bound, reg)
+    if not forward:
         return []  # bound exceeds any achievable cost: nothing to dephase
-    adder = build_cost_adder(weights, reg)
-    comparator = build_comparator(reg, bound)
     penalty = _penalty_phase_gates(reg, bound, alpha, theta)
-    return adder + comparator + penalty + build_uncompute(comparator) + build_uncompute(adder)
+    return forward + penalty + build_uncompute(forward)
 
 
 def build_zeno_layer(
@@ -226,17 +233,13 @@ def build_zeno_layer(
     violation flag, projects it onto 0, and uncomputes.  Returns the gate
     list and the projection positions within it.
     """
-    support, weights = _constraint_support(constraint_coeffs)
-    if support != reg.decision_qubits:
-        raise LayoutError("register layout does not match the constraint support")
-    vacuous = bound >= (1 << reg.width_m)  # no cost can exceed it: no flag to project
-    forward = [] if vacuous else build_cost_adder(weights, reg) + build_comparator(reg, bound)
+    forward = _flag_circuit(constraint_coeffs, bound, reg)
     gates: list[Gate] = []
     positions: list[int] = []
     for _ in range(q_measurements):
         gates.extend(gate_rx(q, beta / q_measurements) for q in mixer_qubits)
-        if vacuous:
-            continue
+        if not forward:
+            continue  # vacuous bound: no flag to project
         gates.extend(forward)
         positions.append(len(gates))
         gates.extend(build_uncompute(forward))
@@ -338,10 +341,9 @@ def prepare_initial_state(
             continue
         con = problem.constraints[ci]
         reg = layout.registers[ci]
-        if con.bound >= (1 << reg.width_m):
+        forward = _flag_circuit(con.coeffs, con.bound, reg)
+        if not forward:
             continue  # vacuous constraint keeps the full superposition
-        _, weights = _constraint_support(con.coeffs)
-        forward = build_cost_adder(weights, reg) + build_comparator(reg, con.bound)
         state = apply_gates(state, forward)
         state = project_qubit(state, reg.flag_qubit, 0)
         state = apply_gates(state, build_uncompute(forward))

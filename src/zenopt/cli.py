@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .annealing import AnnealSchedule, anneal
@@ -30,22 +31,25 @@ from .optimizer import OptimizerConfig, optimize
 from .problem import Multipliers, default_multipliers, load_problem
 
 
-def _add_common(sub: argparse.ArgumentParser, with_assign: bool = True) -> None:
-    sub.add_argument("--problem", required=True, help="problem JSON file")
-    if with_assign:
-        sub.add_argument(
-            "--assign", required=True,
-            help="comma list per constraint: QAOA, DEPHASE or ZENO",
-        )
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="uniform Lagrange multiplier (default: sum|objective|+1)")
-    sub.add_argument("--alpha", type=float, default=None,
-                     help="dephasing strength (default: same as lambda)")
-    sub.add_argument("--p", type=int, default=1, help="number of layers")
-    sub.add_argument("--q", type=int, default=1, help="Zeno measurements per layer")
-    sub.add_argument("--ordering", choices=ORDERINGS, default="natural")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--iters", type=int, default=60, help="optimizer iterations")
+# Flags shared by several commands.  Each command registers only the flags
+# it reads, so argparse rejects the rest instead of ignoring them.
+_SHARED_FLAGS = {
+    "problem": dict(required=True, help="problem JSON file"),
+    "assign": dict(required=True, help="comma list per constraint: QAOA, DEPHASE or ZENO"),
+    "lambda": dict(dest="lam", type=float, default=None,
+                   help="uniform Lagrange multiplier (default: sum|objective|+1)"),
+    "alpha": dict(type=float, default=None, help="dephasing strength (default: same as lambda)"),
+    "p": dict(type=int, default=1, help="number of layers"),
+    "q": dict(type=int, default=1, help="Zeno measurements per layer"),
+    "ordering": dict(choices=ORDERINGS, default="natural"),
+    "seed": dict(type=int, default=0),
+    "iters": dict(type=int, default=60, help="optimizer iterations"),
+}
+
+
+def _add_shared(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        sub.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _multipliers(problem, args) -> Multipliers:
@@ -145,53 +149,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hybrid QAOA / dephasing / Zeno experiments on constrained binary problems",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # No prefix matching: a flag a command does not read (sweep-lagrange's
+    # --lambda) must not be taken for one it does (--lambdas).
+    add_command = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sub = subs.add_parser("solve", help="optimize one assignment, dump the trace")
-    _add_common(sub)
+    sub = add_command("solve", help="optimize one assignment, dump the trace")
+    _add_shared(sub, "problem", "assign", "lambda", "alpha", "p", "q", "ordering", "seed", "iters")
     sub.add_argument("--out", default=None, help="trace CSV path")
     sub.add_argument("--shots", type=int, default=0,
                      help="re-estimate final metrics from sampled shots")
     sub.set_defaults(func=_cmd_solve)
 
-    sub = subs.add_parser("sweep-family", help="optimize all 3^n assignments")
-    _add_common(sub, with_assign=False)
+    sub = add_command("sweep-family", help="optimize all 3^n assignments")
+    _add_shared(sub, "problem", "lambda", "alpha", "p", "q", "ordering", "seed", "iters")
     sub.set_defaults(iters=40)
     sub.add_argument("--out", required=True)
     sub.add_argument("--workers", type=int, default=None, help="process pool size")
     sub.set_defaults(func=_cmd_sweep_family)
 
-    sub = subs.add_parser("sweep-lagrange", help="optimize across multiplier values")
-    _add_common(sub)
+    sub = add_command("sweep-lagrange", help="optimize across multiplier values")
+    _add_shared(sub, "problem", "assign", "p", "q", "ordering", "seed", "iters")
     sub.add_argument("--lambdas", required=True, help="ascending comma list")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_sweep_lagrange)
 
-    sub = subs.add_parser("ordering", help="compare block orderings")
-    _add_common(sub)
+    sub = add_command("ordering", help="compare block orderings")
+    _add_shared(sub, "problem", "assign", "lambda", "alpha", "p", "q", "seed", "iters")
     sub.add_argument("--out", required=True)
     sub.add_argument("--reoptimize", action="store_true",
                      help="run a separate search per ordering")
     sub.set_defaults(func=_cmd_ordering)
 
-    sub = subs.add_parser("histogram", help="decision-state visit probabilities")
-    _add_common(sub)
+    sub = add_command("histogram", help="decision-state visit probabilities")
+    _add_shared(sub, "problem", "assign", "lambda", "alpha", "p", "q", "ordering")
     sub.add_argument("--gamma", type=float, default=0.1)
     sub.add_argument("--beta", type=float, default=0.1)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_histogram)
 
-    sub = subs.add_parser("zeno-demo", help="two-level repeated-measurement survival study")
+    sub = add_command("zeno-demo", help="two-level repeated-measurement survival study")
     sub.add_argument("--n-list", required=True, help="comma list of measurement counts")
     sub.add_argument("--t", type=float, default=1.5707963267948966)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_zeno_demo)
 
-    sub = subs.add_parser("baseline-sa", help="simulated-annealing benchmark")
-    sub.add_argument("--problem", required=True)
-    sub.add_argument("--lambda", dest="lam", type=float, default=None)
-    sub.add_argument("--alpha", type=float, default=None)
+    sub = add_command("baseline-sa", help="simulated-annealing benchmark")
+    _add_shared(sub, "problem", "lambda", "alpha", "seed")
     sub.add_argument("--steps", type=int, default=5000)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--t-start", type=float, default=10.0)
     sub.add_argument("--t-end", type=float, default=0.05)
     sub.add_argument("--out", required=True)

@@ -29,13 +29,8 @@ import numpy as np
 
 from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets
 from .errors import EmptySubspaceError
-from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess, subset_sums
+from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess
 from .statevector import Statevector, _apply_inplace, gate_rx
-
-
-def excess_table(coeffs, bound: int) -> np.ndarray:
-    """max(0, a.x - b) for every assignment x of len(coeffs) variables (x_0 = bit 0)."""
-    return np.maximum(0.0, subset_sums(coeffs) - bound)
 
 
 @dataclass(frozen=True)

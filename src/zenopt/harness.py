@@ -131,10 +131,6 @@ def run_family_sweep(
     process pool; results are gathered in assignment (index) order and are
     identical to a serial run.
     """
-    if problem.n_constraints > MAX_FAMILY_CONSTRAINTS:
-        raise CapacityError(
-            f"family sweep capped at {MAX_FAMILY_CONSTRAINTS} constraints"
-        )
     if config is None:
         config = OptimizerConfig(max_iters=40)
     jobs = [
@@ -182,14 +178,13 @@ def state_visit_histogram(
     mult: Multipliers,
     params: LayerParams,
     ordering: str = NATURAL,
-    support_eps: float = 1e-12,
 ) -> HistogramResult:
     """Decision-qubit marginal of the final state, keyed by basis string."""
     state = FunctionalCircuit(problem, assignment, mult, ordering).run(params)
     probs = marginal_probabilities(state, range(problem.n_vars))
     n = problem.n_vars
     table = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
-    return HistogramResult(table, int(np.sum(probs > support_eps)))
+    return HistogramResult(table, int(np.sum(probs > 1e-12)))
 
 
 def ordering_study(

@@ -1,5 +1,5 @@
 """Classical outer loop: evaluate circuit output against the compiled cost
-and search the (gamma, beta) angles with a derivative-free method.
+and search the (gamma, beta) angles with a Nelder-Mead simplex.
 
 Evaluations run on the functional backend (``functional.py``) and are exact
 (amplitudes, no shot noise), so the same seed and config always reproduce
@@ -21,10 +21,6 @@ from .functional import FunctionalCircuit
 from .problem import ConstrainedBinaryProblem, Multipliers, solution_masks
 from .statevector import marginal_probabilities
 
-NELDER_MEAD = "nelder_mead"
-COORDINATE = "coordinate"
-SEARCH_METHODS = (NELDER_MEAD, COORDINATE)
-
 
 class EvalResult(NamedTuple):
     expected_cost: float
@@ -37,7 +33,6 @@ class EvalResult(NamedTuple):
 class OptimizerConfig:
     max_iters: int = 60
     exit_threshold: float = 1e-9
-    search: str = NELDER_MEAD
     seed: int = 0
     init_params: LayerParams = LayerParams.initial()
 
@@ -46,8 +41,6 @@ class OptimizerConfig:
             raise InputError("max_iters must be >= 1")
         if self.exit_threshold <= 0:
             raise InputError("exit_threshold must be > 0")
-        if self.search not in SEARCH_METHODS:
-            raise InputError(f"search must be one of {SEARCH_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,8 @@ class OptimizationTrace:
         return self.final.expected_cost
 
 
-# A search point whose Zeno projection annihilated the state: the searches
-# move away from it instead of losing the run.
+# A search point whose Zeno projection annihilated the state: the search
+# moves away from it instead of losing the run.
 _ANNIHILATED = EvalResult(math.inf, 0.0, 0.0, 0.0)
 
 
@@ -104,7 +97,7 @@ class _Evaluator:
         )
 
     def __call__(self, theta: np.ndarray) -> EvalResult:
-        """``evaluate`` for the searches: an annihilated point has infinite cost."""
+        """``evaluate`` for the search: an annihilated point has infinite cost."""
         try:
             return self.evaluate(theta)
         except EmptySubspaceError:
@@ -211,43 +204,6 @@ def _search_nelder_mead(ev, theta0, config, trace_out) -> tuple[np.ndarray, Eval
     return best
 
 
-def _search_coordinate(ev, theta0, config, trace_out) -> tuple[np.ndarray, EvalResult]:
-    """Cyclic coordinate descent over a shrinking symmetric grid."""
-    rng = np.random.default_rng(config.seed)
-    theta = np.asarray(theta0, dtype=float)
-    step = float(rng.uniform(0.15, 0.35))
-    best = ev(theta)
-    iteration = 1
-    trace_out.append(_record(iteration, ev, theta, best))
-    improved_in_cycle = False
-    coord = 0
-    while iteration < config.max_iters:
-        candidates = [theta[coord] + k * step for k in (-2, -1, 1, 2)]
-        cur_best = best
-        cur_theta = theta
-        for value in candidates:
-            trial = theta.copy()
-            trial[coord] = value
-            res = ev(trial)
-            if res.expected_cost < cur_best.expected_cost:
-                cur_best, cur_theta = res, trial
-        if cur_best.expected_cost < best.expected_cost:
-            improved_in_cycle = True
-        theta, best = cur_theta, cur_best
-        iteration += 1
-        trace_out.append(_record(iteration, ev, theta, best))
-        coord = (coord + 1) % len(theta)
-        if coord == 0:
-            if not improved_in_cycle:
-                step /= 2.0
-            improved_in_cycle = False
-        if len(trace_out) >= 3:
-            c0, c1, c2 = (r.expected_cost for r in trace_out[-3:])
-            if abs(c2 - c1) < config.exit_threshold and abs(c1 - c0) < config.exit_threshold:
-                break
-    return theta, best
-
-
 def optimize(
     problem: ConstrainedBinaryProblem,
     assignment,
@@ -255,22 +211,23 @@ def optimize(
     config: OptimizerConfig,
     ordering: str = NATURAL,
 ) -> OptimizationTrace:
-    """Derivative-free minimization of the expected compiled cost.
+    """Nelder-Mead minimization of the expected compiled cost.
 
-    Appends one best-seen record per iteration and stops when the best cost
-    changed by less than exit_threshold over two consecutive iterations, or
-    at max_iters.  A point at which a Zeno projection annihilates the state
-    is evaluated as infinite cost with zero probabilities and survival.
+    Records one trace entry per iteration: first the vertices of the initial
+    simplex, starting at ``config.init_params``; then, per simplex step, the
+    accepted iterate, i.e. the vertex that replaced the worst one or, after a
+    shrink, the best shrunk vertex.  Stops once the last three recorded
+    costs each lie within exit_threshold of the one before, or after
+    max_iters records.
+    ``best_params`` and ``final`` are the best vertex of the last simplex.
+    A point at which a Zeno projection annihilates the state is evaluated as
+    infinite cost with zero probabilities and survival.
     """
     start = time.perf_counter()
     ev = _Evaluator(problem, assignment, mult, ordering, config.init_params.q_measurements)
     theta0 = np.array(config.init_params.gamma + config.init_params.beta)
     records: list[TraceRecord] = []
-    if config.search == NELDER_MEAD:
-        best_theta, best_res = _search_nelder_mead(ev, theta0, config, records)
-    else:
-        best_theta, best_res = _search_coordinate(ev, theta0, config, records)
-    records = records[: config.max_iters]
+    best_theta, best_res = _search_nelder_mead(ev, theta0, config, records)
     return OptimizationTrace(
         records=records,
         best_params=ev.params(best_theta),

@@ -272,9 +272,12 @@ def solution_masks(problem: ConstrainedBinaryProblem) -> tuple[np.ndarray, np.nd
     return feasible, feasible & (values == values[feasible].max())
 
 
-@lru_cache(maxsize=64)
 def brute_force_solve(problem: ConstrainedBinaryProblem) -> BruteForceResult:
-    """Exact enumeration of all 2^n assignments, the ground-truth oracle."""
+    """Exact enumeration of all 2^n assignments, the ground-truth oracle.
+
+    Not cached: the result's frozensets take about 64 bytes per feasible
+    state, against 8 for the cached ``constraint_excess`` table it reads.
+    """
     feasible, optimal = (np.flatnonzero(mask).tolist() for mask in solution_masks(problem))
     opt_value = int(sum(c for v, c in enumerate(problem.objective) if optimal[0] >> v & 1))
     return BruteForceResult(opt_value, frozenset(optimal), frozenset(feasible), problem.n_vars)

@@ -88,5 +88,3 @@ def test_schedule_validation():
         AnnealSchedule(t_end=0.0)
     with pytest.raises(InputError):
         AnnealSchedule(steps=0)
-    with pytest.raises(InputError):
-        AnnealSchedule(flips_per_step=0)

@@ -26,8 +26,7 @@ from zenopt import (
     run_circuit,
 )
 from zenopt.builder import ancilla_mass
-from zenopt.functional import excess_table
-from zenopt.problem import DEPHASE, QAOA, REP_KINDS, ZENO
+from zenopt.problem import DEPHASE, QAOA, REP_KINDS, ZENO, subset_sums
 
 STYLES = ("ordinary", "bound_zero", "vacuous", "zero_coeffs")
 LAYERS = ((1, 1), (1, 3), (2, 1), (2, 3))  # (p, Q)
@@ -63,7 +62,7 @@ def test_cases_cover_every_kind_and_style():
         _, problem, assignment, _ = _random_case(seed)
         pairs |= {(kind, STYLES[(seed + ci) % 4]) for ci, kind in enumerate(assignment)}
         for con in problem.constraints:
-            assert 1 << problem.n_vars == len(excess_table(con.coeffs, con.bound))
+            assert 1 << problem.n_vars == len(subset_sums(con.coeffs))
     assert pairs == {(kind, style) for kind in REP_KINDS for style in STYLES}
 
 

@@ -267,6 +267,30 @@ def test_cli_histogram_zeno_demo_sa(cargo_json, tmp_path):
     assert set(rows[0]) == {"step", "state", "cost", "accepted"}
 
 
+WEIGHT_ZENO = "ZENO,QAOA,QAOA,QAOA,QAOA,QAOA"
+MIXED = "DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ordering", "--assign", MIXED, "--ordering", "zeno_first"],
+        ["histogram", "--assign", WEIGHT_ZENO, "--seed", "3"],
+        ["histogram", "--assign", WEIGHT_ZENO, "--iters", "9"],
+        ["sweep-lagrange", "--assign", MIXED, "--lambdas", "1,5", "--lambda", "13"],
+        ["sweep-lagrange", "--assign", MIXED, "--lambdas", "1,5", "--alpha", "2"],
+    ],
+    ids=["ordering--ordering", "histogram--seed", "histogram--iters",
+         "sweep-lagrange--lambda", "sweep-lagrange--alpha"],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv, cargo_json, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--problem", cargo_json, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     assert main(["solve", "--problem", "missing.json", "--assign", "QAOA"]) == 2
 

@@ -137,14 +137,6 @@ def test_different_seeds_explore_differently():
     assert traces[0].records != traces[1].records
 
 
-def test_coordinate_search_runs_and_is_deterministic():
-    config = OptimizerConfig(max_iters=20, seed=2, search="coordinate")
-    first = optimize(cargo(), ALL_QAOA, MULT, config)
-    second = optimize(cargo(), ALL_QAOA, MULT, config)
-    assert first.records == second.records
-    assert first.final.expected_cost <= first.records[0].expected_cost
-
-
 def test_trace_length_bounded_by_max_iters():
     config = OptimizerConfig(max_iters=15, seed=0)
     trace = optimize(cargo(), ALL_QAOA, MULT, config)
@@ -166,8 +158,6 @@ def test_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(InputError):
         OptimizerConfig(exit_threshold=0.0)
-    with pytest.raises(InputError):
-        OptimizerConfig(search="annealing")
     with pytest.raises(InputError):
         LayerParams((), ())
     with pytest.raises(InputError):

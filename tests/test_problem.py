@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,23 @@ def test_constraint_excess_matches_per_state_sums(seed):
 def test_constraint_excess_capacity():
     with pytest.raises(CapacityError):
         constraint_excess(ConstrainedBinaryProblem(25, (1,) * 25, ()))
+
+
+def test_brute_force_result_not_retained():
+    # One loose constraint on 16 variables: all 2^16 states are feasible, so
+    # the result holds 2^16 Python ints.  Once it is deleted, less than the
+    # cached excess table (8 bytes per state, built before tracing) may stay.
+    problem = ConstrainedBinaryProblem(16, (1,) * 16, (Constraint((1,) * 16, 16, "loose"),))
+    table = constraint_excess(problem)
+    tracemalloc.start()
+    try:
+        result = brute_force_solve(problem)
+        assert len(result.feasible_indices) == 1 << 16
+        del result
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < table.nbytes, retained / table.nbytes
 
 
 @pytest.mark.parametrize("seed", [None, *range(8)])
