@@ -47,6 +47,20 @@ _SHARED_FLAGS = {
 }
 
 
+def _comma_list(convert):
+    """argparse type for a comma list: a malformed item is a usage error (exit 2)."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(item) for item in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a comma list of {convert.__name__} values"
+            ) from None
+
+    return parse
+
+
 def _add_shared(sub: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         sub.add_argument(f"--{name}", **_SHARED_FLAGS[name])
@@ -99,8 +113,7 @@ def _cmd_sweep_family(args) -> None:
 def _cmd_sweep_lagrange(args) -> None:
     problem = load_problem(args.problem)
     assignment = parse_assignment(args.assign)
-    lambdas = [float(v) for v in args.lambdas.split(",")]
-    rows = lagrange_sweep(problem, assignment, lambdas, _config(args), args.ordering)
+    rows = lagrange_sweep(problem, assignment, args.lambdas, _config(args), args.ordering)
     write_lagrange_csv(rows, args.out)
     print(f"{len(rows)} multiplier values -> {args.out}")
 
@@ -126,8 +139,7 @@ def _cmd_histogram(args) -> None:
 
 
 def _cmd_zeno_demo(args) -> None:
-    n_list = [int(v) for v in args.n_list.split(",")]
-    rows = zeno_demo_rows(n_list, t=args.t)
+    rows = zeno_demo_rows(args.n_list, t=args.t)
     write_zeno_csv(rows, args.out)
     print(f"{len(rows)} measurement counts -> {args.out}")
 
@@ -169,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add_command("sweep-lagrange", help="optimize across multiplier values")
     _add_shared(sub, "problem", "assign", "p", "q", "ordering", "seed", "iters")
-    sub.add_argument("--lambdas", required=True, help="ascending comma list")
+    sub.add_argument("--lambdas", type=_comma_list(float), required=True,
+                     help="ascending comma list")
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_sweep_lagrange)
 
@@ -188,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_histogram)
 
     sub = add_command("zeno-demo", help="two-level repeated-measurement survival study")
-    sub.add_argument("--n-list", required=True, help="comma list of measurement counts")
+    sub.add_argument("--n-list", type=_comma_list(int), required=True,
+                     help="comma list of measurement counts")
     sub.add_argument("--t", type=float, default=1.5707963267948966)
     sub.add_argument("--out", required=True)
     sub.set_defaults(func=_cmd_zeno_demo)

@@ -291,6 +291,23 @@ def test_cli_rejects_flags_the_command_does_not_read(argv, cargo_json, tmp_path,
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_rejects_malformed_lambda_list(cargo_json, tmp_path, capsys):
+    argv = ["sweep-lagrange", "--problem", cargo_json, "--assign", MIXED, "--lambdas", "1,x"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "argument --lambdas: '1,x' is not a comma list" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_rejects_malformed_measurement_count_list(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeno-demo", "--n-list", "1,,2", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "argument --n-list: '1,,2' is not a comma list" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     assert main(["solve", "--problem", "missing.json", "--assign", "QAOA"]) == 2
 

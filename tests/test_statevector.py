@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -325,6 +328,69 @@ def test_projection_and_marginals_match_bit_extraction(n):
             key |= ((idx >> q) & 1) << bit
         expected = np.bincount(key, weights=probs, minlength=1 << k)
         assert np.max(np.abs(marginal_probabilities(state, qubits) - expected)) < 1e-12
+
+
+def _fusion_cases(n, rng):
+    """Gate list of alternating diagonal and single-qubit runs of 1, 2 and 9
+    gates, with a CNOT or MCX between some of them, plus fixed runs: a
+    diagonal run over every qubit and repeated gates on one qubit."""
+
+    def angle():
+        return float(rng.uniform(-np.pi, np.pi))
+
+    def qubit():
+        return int(rng.integers(n))
+
+    def diagonal():
+        pair = [int(q) for q in rng.permutation(n)[:2]]
+        options = [gate_rz(qubit(), angle()), gate_phase(qubit(), angle())]
+        if n >= 2:
+            options += [gate_rzz(*pair, angle()), gate_cphase(pair, angle())]
+        return options[int(rng.integers(len(options)))]
+
+    def single():
+        return [gate_h, gate_x, lambda q: gate_rx(q, angle())][int(rng.integers(3))](qubit())
+
+    q = qubit()
+    gates = [gate_rz(r, angle()) for r in range(n)]
+    gates += [gate_rzz(r, (r + 1) % n, angle()) for r in range(n) if n >= 2]
+    gates += [gate_cphase(range(n), angle()), gate_phase(q, angle()), gate_rz(q, angle())]
+    gates += [gate_h(q), gate_rx(q, angle()), gate_x(q), gate_rx(q, angle())]
+    for i, length in enumerate([1, 2, 9] * 4):
+        gates += [(diagonal, single)[i % 2]() for _ in range(length)]
+        if n >= 2 and i % 3 == 2:
+            controls = [int(r) for r in rng.permutation(n)[: int(rng.integers(1, n))]]
+            target = int(rng.choice([r for r in range(n) if r not in controls]))
+            gates.append(Gate("CNOT" if len(controls) == 1 else "MCX", (*controls, target)))
+    return gates
+
+
+# 1-9 qubits cross the 4-qubit block boundaries; 16 qubits split every
+# block matmul into several slices.
+@pytest.mark.parametrize("n", [*range(1, 10), 16])
+def test_fused_runs_match_gate_by_gate(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(4):
+        gates = _fusion_cases(n, rng)
+        state = _random_state(n, rng)
+        fused = apply_gates(state, gates)
+        folded = functools.reduce(apply_gate, gates, state)
+        assert np.max(np.abs(fused.amplitudes - folded.amplitudes)) < 1e-12
+        assert fused.survival_prob == state.survival_prob
+
+
+def test_fused_runs_peak_memory_within_state_copies():
+    n = 16
+    ring = [gate_rzz(q, (q + 1) % n, 0.3 + 0.1 * q) for q in range(n)]
+    wall = [gate_rx(q, 0.7) for q in range(n)]
+    state = new_state(n)
+    tracemalloc.start()
+    try:
+        apply_gates(state, ring + wall)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
 
 
 @pytest.mark.parametrize(
