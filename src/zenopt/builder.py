@@ -54,6 +54,7 @@ from .statevector import (
     gate_rx,
     gate_rz,
     gate_rzz,
+    marginal_probabilities,
     new_state,
     project_qubit,
 )
@@ -366,13 +367,7 @@ def run_circuit(circuit: HybridCircuit, state: Statevector) -> Statevector:
 
 def ancilla_mass(state: Statevector, layout: CircuitLayout) -> float:
     """Probability mass on branches with any cost/flag qubit not in |0>."""
-    mask = 0
-    for q in layout.ancilla:
-        mask |= 1 << q
-    if mask == 0:
-        return 0.0
-    idx = np.arange(state.dim, dtype=np.int64)
-    return float(np.sum(state.probabilities()[(idx & mask) != 0]))
+    return float(marginal_probabilities(state, layout.ancilla)[1:].sum())
 
 
 def circuit_stats(circuit: HybridCircuit) -> CircuitStats:

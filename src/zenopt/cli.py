@@ -13,6 +13,7 @@ from .annealing import AnnealSchedule, anneal
 from .builder import LayerParams, ORDERINGS, parse_assignment
 from .errors import CapacityError, InputError, ZenoptError
 from .harness import (
+    SWEEP_CONFIG,
     lagrange_sweep,
     ordering_study,
     run_family_sweep,
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add_command("sweep-family", help="optimize all 3^n assignments")
     _add_shared(sub, "problem", "lambda", "alpha", "p", "q", "ordering", "seed", "iters")
-    sub.set_defaults(iters=40)
+    sub.set_defaults(iters=SWEEP_CONFIG.max_iters)
     sub.add_argument("--out", required=True)
     sub.add_argument("--workers", type=int, default=None, help="process pool size")
     sub.set_defaults(func=_cmd_sweep_family)

@@ -30,7 +30,7 @@ import numpy as np
 from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets
 from .errors import EmptySubspaceError
 from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess
-from .statevector import Statevector, _apply_inplace, gate_rx
+from .statevector import ANNIHILATION_PROB, Statevector, _apply_inplace, gate_rx
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class _Block:
     kind: str
     name: str  # constraint index and label, for error messages
     excess: np.ndarray  # max(0, a.x - b) per decision state
-    keep: np.ndarray | None  # Zeno projection mask; None where the gate build has no flag
+    keep: np.ndarray | None  # Zeno projection mask, excess == 0; None when it drops no state
 
 
 class FunctionalCircuit:
@@ -53,22 +53,20 @@ class FunctionalCircuit:
     ):
         assignment = tuple(assignment)
         model = compiled_model(problem, assignment, mult)
-        layout = model.layout
         self.n_vars = problem.n_vars
         self.n_bits = model.qubo.n_bits
         self.alpha = mult.alpha
         self.cost_table = model.cost_table  # QUBO value per decision+slack index
         self.centered = (model.cost_table - model.ising.identity).reshape(-1, 1 << self.n_vars)
-        self.decision = layout.decision
-        self.mixer = mixer_targets(assignment, layout)
+        self.decision = model.layout.decision
+        self.mixer = mixer_targets(assignment, model.layout)
         excess = constraint_excess(problem)
         self.blocks = []
         for ci in block_order(assignment, ordering):
-            con = problem.constraints[ci]
-            # A bound at or above 2^width is vacuous: the gate build skips its flag.
-            projects = assignment[ci] == ZENO and con.bound < (1 << layout.registers[ci].width_m)
-            keep = excess[ci] == 0 if projects else None
-            self.blocks.append(_Block(assignment[ci], f"{ci} ({con.label!r})", excess[ci], keep))
+            keep = excess[ci] == 0
+            projects = assignment[ci] == ZENO and not keep.all()
+            name = f"{ci} ({problem.constraints[ci].label!r})"
+            self.blocks.append(_Block(assignment[ci], name, excess[ci], keep if projects else None))
         feasible = ~excess[[ci for ci, kind in enumerate(assignment) if kind == ZENO]].any(axis=0)
         self.initial = np.zeros(self.centered.shape, dtype=np.complex128)
         self.initial[:, feasible] = 1.0 / np.sqrt(feasible.sum() * self.initial.shape[0])
@@ -81,7 +79,7 @@ class FunctionalCircuit:
         """Final state over the n_bits decision and slack bits, with survival.
 
         Raises EmptySubspaceError, naming the constraint, layer and sub-block,
-        when a Zeno projection has probability at most 1e-12.
+        when a Zeno projection has probability at most ``ANNIHILATION_PROB``.
         """
         psi = self.initial.copy()
         survival = 1.0
@@ -97,7 +95,7 @@ class FunctionalCircuit:
                     if block.keep is None:
                         continue
                     prob = float(np.sum(np.abs(psi[:, block.keep]) ** 2))
-                    if prob <= 1e-12:
+                    if prob <= ANNIHILATION_PROB:
                         raise EmptySubspaceError(
                             f"Zeno projection of constraint {block.name} in layer "
                             f"{p + 1}/{params.p_layers}, sub-block {q + 1}/{q_meas} "

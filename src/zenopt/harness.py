@@ -16,7 +16,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -43,10 +43,12 @@ from .problem import (
     Multipliers,
     solution_masks,
 )
-from .statevector import marginal_probabilities, sample
+from .statevector import basis_string, marginal_probabilities, sample
 from .zeno import survival_analytic, survival_empirical, zeno_limit_error
 
 MAX_FAMILY_CONSTRAINTS = 8
+
+SWEEP_CONFIG = OptimizerConfig(max_iters=40)  # family, Lagrange and ordering studies
 
 FAMILY_CSV_COLUMNS = [
     "assignment", "non_local", "qubits", "clbits", "depth", "width", "size",
@@ -121,7 +123,7 @@ def _family_row(args) -> SweepResult:
 def run_family_sweep(
     problem: ConstrainedBinaryProblem,
     mult: Multipliers,
-    config: OptimizerConfig | None = None,
+    config: OptimizerConfig = SWEEP_CONFIG,
     ordering: str = NATURAL,
     workers: int | None = None,
 ) -> list[SweepResult]:
@@ -131,8 +133,6 @@ def run_family_sweep(
     process pool; results are gathered in assignment (index) order and are
     identical to a serial run.
     """
-    if config is None:
-        config = OptimizerConfig(max_iters=40)
     jobs = [
         (problem, assignment, mult, replace(config, seed=config.seed + i), ordering)
         for i, assignment in enumerate(enumerate_assignments(problem.n_constraints))
@@ -147,7 +147,7 @@ def lagrange_sweep(
     problem: ConstrainedBinaryProblem,
     assignment,
     lambdas,
-    config: OptimizerConfig | None = None,
+    config: OptimizerConfig = SWEEP_CONFIG,
     ordering: str = NATURAL,
 ) -> list[tuple[float, EvalResult]]:
     """Optimized run metrics per Lagrange multiplier value."""
@@ -156,8 +156,6 @@ def lagrange_sweep(
         raise InputError("lambda values must be positive")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise InputError("lambda values must be strictly ascending")
-    if config is None:
-        config = OptimizerConfig(max_iters=40)
     rows = []
     for lam in lambdas:
         mult = Multipliers.uniform(problem.n_constraints, lam)
@@ -182,8 +180,7 @@ def state_visit_histogram(
     """Decision-qubit marginal of the final state, keyed by basis string."""
     state = FunctionalCircuit(problem, assignment, mult, ordering).run(params)
     probs = marginal_probabilities(state, range(problem.n_vars))
-    n = problem.n_vars
-    table = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)}
+    table = {basis_string(i, problem.n_vars): float(p) for i, p in enumerate(probs)}
     return HistogramResult(table, int(np.sum(probs > 1e-12)))
 
 
@@ -191,7 +188,7 @@ def ordering_study(
     problem: ConstrainedBinaryProblem,
     assignment,
     mult: Multipliers,
-    config: OptimizerConfig | None = None,
+    config: OptimizerConfig = SWEEP_CONFIG,
     reoptimize: bool = False,
 ) -> dict[str, EvalResult]:
     """Metrics of the same assignment under each block ordering.
@@ -204,8 +201,6 @@ def ordering_study(
     kinds = set(assignment)
     if "DEPHASE" not in kinds or "ZENO" not in kinds:
         raise InputError("ordering study needs at least one DEPHASE and one ZENO constraint")
-    if config is None:
-        config = OptimizerConfig(max_iters=40)
     rows: dict[str, EvalResult] = {}
     for ordering in ORDERINGS:
         if reoptimize:
@@ -270,17 +265,10 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _family_csv_row(row: SweepResult) -> list:
-    stats = row.stats
+    stats = astuple(row.stats) if row.stats else ("",) * len(fields(CircuitStats))
     return [
         ",".join(row.assignment),
-        stats.non_local_gates if stats else "",
-        stats.n_qubits if stats else "",
-        stats.n_clbits if stats else "",
-        stats.depth if stats else "",
-        stats.width if stats else "",
-        stats.size if stats else "",
-        stats.n_parameters if stats else "",
-        stats.n_unitary_factors if stats else "",
+        *stats,
         row.expected_cost,
         row.p_feasible,
         row.p_optimal,

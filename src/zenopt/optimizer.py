@@ -22,6 +22,9 @@ from .problem import ConstrainedBinaryProblem, Multipliers, solution_masks
 from .statevector import marginal_probabilities
 
 
+EXIT_THRESHOLD = 1e-9  # cost change below which the search stops; see optimize
+
+
 class EvalResult(NamedTuple):
     expected_cost: float
     p_feasible: float
@@ -32,15 +35,12 @@ class EvalResult(NamedTuple):
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 60
-    exit_threshold: float = 1e-9
     seed: int = 0
     init_params: LayerParams = LayerParams.initial()
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
-        if self.exit_threshold <= 0:
-            raise InputError("exit_threshold must be > 0")
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def _search_nelder_mead(ev, theta0, config, trace_out) -> tuple[np.ndarray, Eval
         if len(trace_out) < 3:
             return False
         c0, c1, c2 = (r.expected_cost for r in trace_out[-3:])
-        return abs(c2 - c1) < config.exit_threshold and abs(c1 - c0) < config.exit_threshold
+        return abs(c2 - c1) < EXIT_THRESHOLD and abs(c1 - c0) < EXIT_THRESHOLD
 
     # The first iterations evaluate the initial simplex, starting from the
     # configured initial point.
@@ -217,8 +217,8 @@ def optimize(
     simplex, starting at ``config.init_params``; then, per simplex step, the
     accepted iterate, i.e. the vertex that replaced the worst one or, after a
     shrink, the best shrunk vertex.  Stops once the last three recorded
-    costs each lie within exit_threshold of the one before, or after
-    max_iters records.
+    costs each lie within ``EXIT_THRESHOLD`` (1e-9) of the one before, or
+    after max_iters records.
     ``best_params`` and ``final`` are the best vertex of the last simplex.
     A point at which a Zeno projection annihilates the state is evaluated as
     infinite cost with zero probabilities and survival.

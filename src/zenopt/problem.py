@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, ContractError, InputError
+from .statevector import basis_string
 
 QAOA = "QAOA"
 DEPHASE = "DEPHASE"
@@ -237,11 +238,7 @@ class BruteForceResult:
 
     @property
     def optimal_set(self) -> frozenset[str]:
-        return frozenset(format(i, f"0{self.n_vars}b") for i in self.optimal_indices)
-
-    @property
-    def feasible_set(self) -> frozenset[str]:
-        return frozenset(format(i, f"0{self.n_vars}b") for i in self.feasible_indices)
+        return frozenset(basis_string(i, self.n_vars) for i in self.optimal_indices)
 
 
 def subset_sums(coeffs) -> np.ndarray:

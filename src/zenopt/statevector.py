@@ -33,6 +33,7 @@ import numpy as np
 from .errors import CapacityError, EmptySubspaceError, ShapeError
 
 MAX_QUBITS = 26
+ANNIHILATION_PROB = 1e-12  # a projection keeping at most this raises EmptySubspaceError
 
 # Gate kinds. CPHASE accepts any number of qubits >= 1: with a single qubit it
 # is the phase gate diag(1, e^{i*phi}); with more it phases the all-ones branch.
@@ -266,10 +267,7 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Unitary gate application; preserves the norm to 1e-10."""
-    _check_gate(gate, state.n_qubits)
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, gate, state.n_qubits)
-    return Statevector(state.n_qubits, amps, state.survival_prob)
+    return apply_gates(state, [gate])
 
 
 def _relabel(gate: Gate, label: dict[int, int]) -> Gate:
@@ -360,8 +358,8 @@ def apply_gates(state: Statevector, gates: Sequence[Gate]) -> Statevector:
 def project_qubit(state: Statevector, qubit: int, outcome: int) -> Statevector:
     """Post-select ``qubit`` on ``outcome``, renormalize, track survival.
 
-    Raises EmptySubspaceError when the outcome probability is at most 1e-12,
-    which signals that post-selection annihilated the state.
+    Raises EmptySubspaceError when the outcome probability is at most
+    ANNIHILATION_PROB, the sign that post-selection annihilated the state.
     """
     if not 0 <= qubit < state.n_qubits:
         raise ShapeError(f"qubit {qubit} out of range")
@@ -369,7 +367,7 @@ def project_qubit(state: Statevector, qubit: int, outcome: int) -> Statevector:
         raise ShapeError(f"outcome must be 0 or 1, got {outcome}")
     kept = _bits_view(state.amplitudes, state.n_qubits, {qubit: outcome})
     prob = float(np.sum(np.abs(kept) ** 2))
-    if prob <= 1e-12:
+    if prob <= ANNIHILATION_PROB:
         raise EmptySubspaceError(
             f"projection of qubit {qubit} onto |{outcome}> has probability {prob:.3e}"
         )
@@ -393,16 +391,13 @@ def sample(state: Statevector, shots: int, seed: int) -> dict[str, int]:
 def expectation_diagonal(state: Statevector, value_fn: Callable) -> float:
     """Expectation sum_z |amp_z|^2 * value_fn(z) over basis indices.
 
-    ``value_fn`` is preferably vectorized over an int64 index array; plain
-    scalar functions are accepted and evaluated per basis state.
+    ``value_fn`` is called once on the int64 array of all basis indices and
+    must return one value per index; any other shape raises ShapeError.
     """
     idx = np.arange(state.dim, dtype=np.int64)
-    try:
-        vals = np.asarray(value_fn(idx), dtype=np.float64)
-        if vals.shape != idx.shape:
-            raise TypeError
-    except TypeError:
-        vals = np.array([float(value_fn(int(i))) for i in idx])
+    vals = np.asarray(value_fn(idx), dtype=np.float64)
+    if vals.shape != idx.shape:
+        raise ShapeError(f"value_fn returned shape {vals.shape}, expected {idx.shape}")
     return float(state.probabilities() @ vals)
 
 

@@ -87,7 +87,7 @@ def _state(psi0, dim: int) -> np.ndarray:
 
 
 def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float:
-    """Second-order survival estimate 1 - t * (t/N) * Theta^2.
+    """Second-order survival estimate 1 - t * (t/N) * Theta.
 
     Theta is the energy variance <H^2> - <H>^2 in the initial state.  This is
     the small-interval expansion taken at face value, so the result is not
@@ -102,7 +102,7 @@ def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float
     second = np.vdot(h_psi, h_psi).real  # <H^2> since H is Hermitian
     theta = second - mean**2
     eps = t / n_measurements
-    return float(1.0 - t * eps * theta**2)
+    return float(1.0 - t * eps * theta)
 
 
 def _hamiltonian_and_projector(hamiltonian, projector) -> tuple[np.ndarray, np.ndarray]:

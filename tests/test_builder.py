@@ -303,6 +303,19 @@ def test_ancilla_hygiene_full_circuit():
     assert ancilla_mass(out, circuit.layout) < 1e-9
 
 
+def test_ancilla_mass_of_dirty_register_matches_bit_mask():
+    # Stopped before its first projection, the weight-ZENO circuit has
+    # computed its cost register and flag but not uncomputed them.
+    circuit = build_circuit(cargo(), WEIGHT_ZENO, MULT, LayerParams((0.2,), (0.35,)))
+    state = prepare_initial_state(cargo(), WEIGHT_ZENO, circuit.layout)
+    dirty = apply_gates(state, circuit.gates[: circuit.projections[0][0]])
+    mask = sum(1 << q for q in circuit.layout.ancilla)
+    expected = dirty.probabilities()[(np.arange(dirty.dim) & mask) != 0].sum()
+    assert expected > 0.5
+    assert abs(ancilla_mass(dirty, circuit.layout) - expected) <= 1e-12
+    assert ancilla_mass(new_state(3), build_layout(cargo(), ALL_QAOA, 3)) == 0.0
+
+
 def test_run_circuit_peak_memory_within_state_copies():
     assignment = parse_assignment("DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA")
     circuit = build_circuit(cargo(), assignment, MULT, LayerParams((0.1,), (0.2,), 2))

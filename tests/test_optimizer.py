@@ -143,21 +143,18 @@ def test_trace_length_bounded_by_max_iters():
     assert 1 <= len(trace.records) <= 15
 
 
-def test_exit_threshold_stops_early():
-    # a zero-gradient start (gamma=beta=0 on a flat landscape) converges fast
-    config = OptimizerConfig(
-        max_iters=60, seed=0, exit_threshold=50.0,
-        init_params=LayerParams((0.1,), (0.1,)),
-    )
-    trace = optimize(cargo(), ALL_QAOA, MULT, config)
-    assert len(trace.records) < 60
+def test_flat_problem_stops_at_fixed_threshold():
+    # Zero objective and no constraints: every point costs exactly 0, so the
+    # search stops once the three vertices of the initial simplex are recorded.
+    flat = ConstrainedBinaryProblem(2, (0, 0), ())
+    config = OptimizerConfig(max_iters=60, seed=0)
+    trace = optimize(flat, (), Multipliers.uniform(0, 1.0), config)
+    assert [rec.expected_cost for rec in trace.records] == [0.0, 0.0, 0.0]
 
 
 def test_config_validation():
     with pytest.raises(InputError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(InputError):
-        OptimizerConfig(exit_threshold=0.0)
     with pytest.raises(InputError):
         LayerParams((), ())
     with pytest.raises(InputError):

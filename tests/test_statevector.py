@@ -207,10 +207,10 @@ def test_expectation_diagonal_basics():
     assert abs(expectation_diagonal(uniform, lambda z: z) - 1.5) < 1e-12
 
 
-def test_expectation_diagonal_scalar_fallback():
+def test_expectation_diagonal_rejects_one_value_for_all_states():
     uniform = apply_gates(new_state(2), [gate_h(0), gate_h(1)])
-    table = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
-    assert abs(expectation_diagonal(uniform, lambda z: table[z]) - 2.5) < 1e-12
+    with pytest.raises(ShapeError):
+        expectation_diagonal(uniform, lambda z: 1.0)
 
 
 def test_basis_string_msb_first():

@@ -46,10 +46,19 @@ def test_survival_analytic_zero_hamiltonian():
 
 
 def test_survival_analytic_pauli_x_printed_formula():
-    # 1 - t*(t/N)*variance^2 with variance of X in |0> equal to 1
+    # 1 - t*(t/N)*variance with variance of X in |0> equal to 1
     value = survival_analytic(PAULI_X, KET_0, np.pi / 2, 10)
     assert abs(value - (1 - (np.pi / 2) * (np.pi / 20))) < 1e-12
     assert abs(value - 0.7533) < 1e-3
+
+
+def test_survival_analytic_is_linear_in_variance():
+    # H = 2X has variance 4 in |0>: 1 - t^2*4/N = 0.99, and the exact
+    # survival cos(2t)^2 = 0.99003 agrees to second order.
+    h = 2.0 * PAULI_X
+    value = survival_analytic(h, KET_0, 0.05, 1)
+    assert abs(value - 0.99) < 1e-12
+    assert abs(value - survival_empirical(h, PROJ_0, KET_0, 0.05, 1)) < 1e-4
 
 
 def test_survival_analytic_eigenvector():
