@@ -44,7 +44,7 @@ _SHARED_FLAGS = {
     "q": dict(type=int, default=1, help="Zeno measurements per layer"),
     "ordering": dict(choices=ORDERINGS, default="natural"),
     "seed": dict(type=int, default=0),
-    "iters": dict(type=int, default=60, help="optimizer iterations"),
+    "iters": dict(type=int, default=OptimizerConfig.max_iters, help="optimizer iterations"),
 }
 
 

@@ -8,23 +8,25 @@ Kernels keep no caches.  A gate on two or more qubits and a projection act on
 a strided view of the amplitudes read as one axis per qubit (qubit q is axis
 n-1-q), with the qubits the operation conditions on pinned to a bit; single-
 qubit gates use the equivalent ``(-1, 2, 2**q)`` reshape.  ``apply_gates``
-fuses runs of consecutive gates with those same kernels: two or more diagonal
-gates (RZ, RZZ, CPHASE) build one phase table over the k qubits they touch,
-multiplied into the state in one broadcast, and two or more H, X and RX gates
-build one matrix of at most 16 x 16 per aligned 4-qubit block, applied in
-place by matmuls over slices of the state.
+splits its gate list into greedy runs by one rule: a run grows while all its
+gates are diagonal (RZ, RZZ, CPHASE), at any width, or while the qubits it
+touches span at most 4, from its lowest qubit lo to its highest hi.  A
+diagonal run of two or more gates builds one phase table over the qubits it
+touches, multiplied into the state in one broadcast; any other run of two or
+more gates builds one matrix of at most 16 x 16 over qubits lo..hi, applied
+in place by matmuls over slices of the state.  A lone gate, and so a
+non-diagonal gate spanning more than 4 qubits, uses its own kernel.
 
 Capacity: a state holds 2**n complex128 amplitudes, 16 * 2**n bytes, which
 is 1 GiB at ``MAX_QUBITS`` = 26.  A gate run holds at most about 4 copies of
 that at once: the caller's state, the working copy, and at most one more
 state-size buffer: the half-size temporaries of a kernel, a fused diagonal
-run's 2**k-entry table (k <= n touched qubits), or the output of a
-projection.  A fused single-qubit layer adds only 256 KiB slices.
+run's phase table (never more entries than the state), or the output of a
+projection.  A fused span adds only 256 KiB slices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,13 +50,17 @@ MCX = "MCX"
 
 GATE_KINDS = frozenset({H, X, RX, RZ, RZZ, CNOT, CPHASE, MCX})
 
-# The run class of each gate kind ``apply_gates`` fuses; the block size, in
-# qubits, of a fused layer's matrices; and the amplitudes one of its matmuls
-# covers, which bounds the layer's temporaries (256 KiB).
-_RUN_CLASS = {RZ: "diagonal", RZZ: "diagonal", CPHASE: "diagonal",
-              H: "layer", X: "layer", RX: "layer"}
-_LAYER_BLOCK = 4
-_LAYER_CHUNK = 1 << 14
+# The gate kinds a diagonal run may hold; the widest span, in qubits, of
+# any other fused run (a matrix of at most 16 x 16, chosen by measurement:
+# 5 makes mixer walls 32 x 32 and no faster overall); the amplitudes one of
+# its matmuls covers, which bounds the run's temporaries (256 KiB); the
+# highest lo whose tiles a span transposes into one matmul (rows of at most
+# 16 amplitudes); and the low qubits a diagonal table on qubit 0 covers.
+_DIAGONAL = frozenset({RZ, RZZ, CPHASE})
+_SPAN_QUBITS = 4
+_SPAN_CHUNK = 1 << 14
+_NARROW_LO = 4
+_DIAGONAL_LOW = 6
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -277,11 +283,18 @@ def _relabel(gate: Gate, label: dict[int, int]) -> Gate:
 def _apply_diagonal_run(amps: np.ndarray, run: list[Gate], n_qubits: int) -> None:
     """Multiply in the phase table of a run of diagonal gates, in place.
 
-    The table covers only the k qubits the run touches: the run's gates,
-    relabeled to 0..k-1, act on 2**k ones, and the table then scales the
-    one-axis-per-qubit view of the state in one broadcast.
+    The table covers the k qubits the run touches: the run's gates, relabeled
+    to 0..k-1, act on 2**k ones, and the table then scales the
+    one-axis-per-qubit view of the state in one broadcast.  When the run
+    touches qubit 0 the table also covers every qubit below
+    ``_DIAGONAL_LOW``, so the broadcast's innermost loop runs over at least
+    64 contiguous amplitudes (or a whole smaller state) instead of as few as
+    2.
     """
-    qubits = sorted({q for gate in run for q in gate.qubits})
+    qubits = {q for gate in run for q in gate.qubits}
+    if 0 in qubits:
+        qubits.update(range(min(n_qubits, _DIAGONAL_LOW)))
+    qubits = sorted(qubits)
     label = {q: i for i, q in enumerate(qubits)}
     table = np.ones(1 << len(qubits), dtype=np.complex128)
     for gate in run:
@@ -292,66 +305,80 @@ def _apply_diagonal_run(amps: np.ndarray, run: list[Gate], n_qubits: int) -> Non
     amps.reshape((2,) * n_qubits)[...] *= table.reshape(shape)
 
 
-def _apply_single_qubit_layer(amps: np.ndarray, run: list[Gate]) -> None:
-    """Apply a run of single-qubit gates in place, one matrix per 4-qubit block.
+def _runs(gates: Sequence[Gate], n_qubits: int):
+    """Split ``gates`` into greedy runs, yielding (run, lo, hi, diagonal).
 
-    Gates on different qubits commute, so the run splits into aligned blocks
-    of ``_LAYER_BLOCK`` qubits, each keeping its gates in order.  A block from
-    qubit lo up to its highest touched qubit hi is one d x d matrix,
-    d = 2**(hi-lo+1) <= 16, applied by matmuls over slices of at most
-    ``_LAYER_CHUNK`` amplitudes, so no state-size temporary is made.
+    A run grows while all its gates are diagonal, at any width, or while the
+    qubits it touches stay within a span hi - lo + 1 <= ``_SPAN_QUBITS``.
     """
-    blocks: dict[int, list[Gate]] = {}
+    run: list[Gate] = []
+    for gate in gates:
+        _check_gate(gate, n_qubits)
+        g_lo, g_hi, g_diagonal = min(gate.qubits), max(gate.qubits), gate.kind in _DIAGONAL
+        if run:
+            new_lo, new_hi = min(lo, g_lo), max(hi, g_hi)
+            if (diagonal and g_diagonal) or new_hi - new_lo < _SPAN_QUBITS:
+                run.append(gate)
+                lo, hi, diagonal = new_lo, new_hi, diagonal and g_diagonal
+                continue
+            yield run, lo, hi, diagonal
+        run, lo, hi, diagonal = [gate], g_lo, g_hi, g_diagonal
+    if run:
+        yield run, lo, hi, diagonal
+
+
+def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int) -> None:
+    """Apply a run within qubits lo..hi in place as one d x d matrix.
+
+    d = 2**(hi-lo+1) <= 16.  The matrix acts on axis 1 of the
+    ``(2**(n-hi-1), d, 2**lo)`` view, by matmuls over slices of at most
+    ``_SPAN_CHUNK`` amplitudes, so no state-size temporary is made.
+    """
+    width = hi - lo + 1
+    d = 1 << width
+    # Read as a 2*width-qubit state, the identity's row j holds e_j on the low
+    # qubits; the gates turn it into U e_j, so the array is U^T.
+    u_t = np.eye(d, dtype=np.complex128)
     for gate in run:
-        blocks.setdefault(gate.qubits[0] // _LAYER_BLOCK, []).append(gate)
-    for block, gates in blocks.items():
-        lo = block * _LAYER_BLOCK
-        width = max(gate.qubits[0] for gate in gates) - lo + 1
-        d = 1 << width
-        # Read as a 2*width-qubit state, the identity's row j holds e_j on
-        # the low qubits; the gates turn it into U e_j, so the array is U^T.
-        u_t = np.eye(d, dtype=np.complex128)
-        for gate in gates:
-            local = _relabel(gate, {q: q - lo for q in gate.qubits})
-            _apply_inplace(u_t.reshape(-1), local, 2 * width)
-        if lo == 0:
-            rows = amps.reshape(-1, d)
-            step = _LAYER_CHUNK // d
-            for i in range(0, len(rows), step):
-                rows[i : i + step] = rows[i : i + step] @ u_t
-            continue
-        # (L, d, 2**lo): whole tiles per matmul, or column slices of one tile.
-        stack = amps.reshape(-1, d, 1 << lo)
-        tiles = max(1, _LAYER_CHUNK // (d << lo))
-        cols = min(1 << lo, _LAYER_CHUNK // d)
-        for i in range(0, len(stack), tiles):
-            for j in range(0, 1 << lo, cols):
-                part = stack[i : i + tiles, :, j : j + cols]
-                part[...] = u_t.T @ part
+        _apply_inplace(u_t.reshape(-1), _relabel(gate, {q: q - lo for q in gate.qubits}), 2 * width)
+    stack = amps.reshape(-1, d, 1 << lo)
+    if lo <= _NARROW_LO:
+        # Tiles of d rows of 2**lo <= 16 amplitudes are too narrow for one
+        # matmul each: transpose a chunk of whole tiles into one (-1, d) block.
+        step = _SPAN_CHUNK >> (width + lo)
+        for i in range(0, len(stack), step):
+            part = stack[i : i + step]
+            out = part.transpose(0, 2, 1).reshape(-1, d) @ u_t
+            part[...] = out.reshape(len(part), -1, d).transpose(0, 2, 1)
+        return
+    # Wider tiles: whole tiles per matmul, or column slices of one tile.
+    tiles = max(1, _SPAN_CHUNK // (d << lo))
+    cols = min(1 << lo, _SPAN_CHUNK // d)
+    for i in range(0, len(stack), tiles):
+        for j in range(0, 1 << lo, cols):
+            part = stack[i : i + tiles, :, j : j + cols]
+            part[...] = u_t.T @ part
 
 
 def apply_gates(state: Statevector, gates: Sequence[Gate]) -> Statevector:
     """Apply a gate sequence to one working copy of the amplitudes.
 
-    Maximal runs of two or more diagonal gates (RZ, RZZ, CPHASE) become one
-    phase table, and of two or more H, X and RX gates one matrix per 4-qubit
-    block.  Every other gate goes through the per-gate kernel.  Fused runs
-    round differently from ``apply_gate`` folded over the list, by about
-    1e-15.
+    The gates split into greedy runs (see ``_runs``).  A run of two or more
+    diagonal gates (RZ, RZZ, CPHASE) becomes one phase table; any other run
+    of two or more gates becomes one matrix over its span of at most
+    ``_SPAN_QUBITS`` qubits.  A lone gate goes through the per-gate kernel.
+    Fused runs round differently from ``apply_gate`` folded over the list,
+    by about 1e-15.
     """
     n = state.n_qubits
     amps = state.amplitudes.copy()
-    for run_class, run in itertools.groupby(gates, key=lambda gate: _RUN_CLASS.get(gate.kind)):
-        run = list(run)
-        for gate in run:
-            _check_gate(gate, n)
-        if run_class is None or len(run) == 1:
-            for gate in run:
-                _apply_inplace(amps, gate, n)
-        elif run_class == "diagonal":
+    for run, lo, hi, diagonal in _runs(gates, n):
+        if len(run) == 1:
+            _apply_inplace(amps, run[0], n)
+        elif diagonal:
             _apply_diagonal_run(amps, run, n)
         else:
-            _apply_single_qubit_layer(amps, run)
+            _apply_span(amps, run, lo, hi)
     return Statevector(n, amps, state.survival_prob)
 
 

@@ -23,8 +23,8 @@ from zenopt import (
     state_visit_histogram,
     zeno_demo_rows,
 )
-from zenopt.cli import main
-from zenopt.harness import FAMILY_CSV_COLUMNS
+from zenopt.cli import build_parser, main
+from zenopt.harness import FAMILY_CSV_COLUMNS, SWEEP_CONFIG
 from zenopt.problem import save_problem
 
 
@@ -199,6 +199,21 @@ def test_cli_solve_writes_trace(cargo_json, tmp_path, capsys):
         "iter", "gamma_0", "beta_0", "expected_cost", "p_feasible", "p_optimal", "survival_prob"
     }
     assert "best gamma" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, iters",
+    [
+        (["solve", "--assign", "QAOA"], OptimizerConfig().max_iters),
+        (["sweep-lagrange", "--assign", "QAOA", "--lambdas", "1"], OptimizerConfig().max_iters),
+        (["ordering", "--assign", "QAOA"], OptimizerConfig().max_iters),
+        (["sweep-family"], SWEEP_CONFIG.max_iters),
+    ],
+    ids=["solve", "sweep-lagrange", "ordering", "sweep-family"],
+)
+def test_cli_iters_default_comes_from_the_library(argv, iters):
+    args = build_parser().parse_args([*argv, "--problem", "p.json", "--out", "x.csv"])
+    assert args.iters == iters
 
 
 def test_cli_family_sweep_csv_columns(tmp_path, capsys):

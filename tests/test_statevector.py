@@ -19,6 +19,7 @@ from zenopt import (
     project_qubit,
     sample,
 )
+from zenopt import statevector
 from zenopt.statevector import (
     gate_cnot,
     gate_cphase,
@@ -365,17 +366,57 @@ def _fusion_cases(n, rng):
     return gates
 
 
-# 1-9 qubits cross the 4-qubit block boundaries; 16 qubits split every
-# block matmul into several slices.
+def _ladder(qubits, rng):
+    """QFT-style ladder: H on each qubit from the top, then CPHASE to each lower one."""
+    gates = []
+    for k in range(len(qubits) - 1, -1, -1):
+        gates.append(gate_h(qubits[k]))
+        gates += [gate_cphase((qubits[j], qubits[k]), float(rng.uniform(-np.pi, np.pi))) for j in range(k)]
+    return gates
+
+
+def _comparator(cost, flag):
+    """MCX cascade onto ``flag`` with X conjugations, as in a threshold comparator."""
+    gates = []
+    for k in range(len(cost) - 1, -1, -1):
+        negated = [gate_x(q) for q in cost[k + 1 :: 2]]
+        gates += [*negated, gate_mcx(cost[k:], flag), *negated]
+    return gates
+
+
+def _mixed_cases(n, rng):
+    """Named gate lists whose runs mix diagonal and non-diagonal gates."""
+    cases = {}
+    for width in (4, 5):
+        w = min(width, n)
+        for where, lo in (("bottom", 0), ("middle", (n - w) // 2), ("top", n - w)):
+            qubits = list(range(lo, lo + w))
+            ladder = _ladder(qubits, rng)
+            cases[f"qft{width}-{where}"] = ladder + [g.inverse() for g in reversed(_ladder(qubits, rng))]
+    if n >= 2:
+        m = min(4, n - 1)
+        cases["comparator-top"] = _comparator(list(range(n - 1 - m, n - 1)), n - 1)
+        cases["comparator-bottom"] = _comparator(list(range(m)), m)
+        cases["cnot-across"] = [gate_h(0), gate_x(1), gate_cnot(0, n - 1), gate_h(1), gate_rz(0, 0.4), gate_h(0)]
+        cases["qubit0-and-top-diagonal"] = [gate_rz(0, 0.3), gate_cphase((0, n - 1), 0.9), gate_rz(n - 1, 0.2)]
+    cases["qubit0-diagonal"] = [gate_rz(0, 0.3), gate_phase(0, 1.1), gate_rz(0, -0.7)]
+    cases["all"] = [gate for gates in list(cases.values()) for gate in gates]
+    return cases
+
+
+# 1-9 qubits cross the 4-qubit span limit; 16 qubits split every span's
+# matmuls into several slices.  The mixed cases put QFT ladders at the bottom,
+# middle and top of the register, comparators, a CNOT from qubit 0 to the top
+# qubit inside a run, and diagonal runs on qubit 0.
 @pytest.mark.parametrize("n", [*range(1, 10), 16])
 def test_fused_runs_match_gate_by_gate(n):
     rng = np.random.default_rng(300 + n)
-    for _ in range(4):
-        gates = _fusion_cases(n, rng)
+    cases = {f"random-{i}": _fusion_cases(n, rng) for i in range(4)} | _mixed_cases(n, rng)
+    for name, gates in cases.items():
         state = _random_state(n, rng)
         fused = apply_gates(state, gates)
         folded = functools.reduce(apply_gate, gates, state)
-        assert np.max(np.abs(fused.amplitudes - folded.amplitudes)) < 1e-12
+        assert np.max(np.abs(fused.amplitudes - folded.amplitudes)) < 1e-12, name
         assert fused.survival_prob == state.survival_prob
 
 
@@ -383,14 +424,37 @@ def test_fused_runs_peak_memory_within_state_copies():
     n = 16
     ring = [gate_rzz(q, (q + 1) % n, 0.3 + 0.1 * q) for q in range(n)]
     wall = [gate_rx(q, 0.7) for q in range(n)]
+    # Mixed spans at lo 2 (one transposed chunk per matmul) and 6 (tiles).
+    ladders = [_ladder(range(lo, lo + 4), np.random.default_rng(lo)) for lo in (2, 6)]
     state = new_state(n)
-    tracemalloc.start()
-    try:
-        apply_gates(state, ring + wall)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.5 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
+    for gates in [ring + wall, *ladders]:
+        tracemalloc.start()
+        try:
+            apply_gates(state, gates)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("n", [3, 6, 16])
+def test_runs_follow_the_span_rule(n):
+    """Every fused run is diagonal or spans at most 4 qubits, and no run could
+    have taken the gate that starts the next one."""
+
+    def span(gates):
+        qubits = [q for gate in gates for q in gate.qubits]
+        return min(qubits), max(qubits), all(gate.kind in ("RZ", "RZZ", "CPHASE") for gate in gates)
+
+    gates = _mixed_cases(n, np.random.default_rng(n))["all"] + _fusion_cases(n, np.random.default_rng(n))
+    runs = list(statevector._runs(gates, n))
+    assert [gate for run, *_ in runs for gate in run] == gates
+    for (run, lo, hi, diagonal), (following, *_) in zip(runs, [*runs[1:], ([],)]):
+        assert (lo, hi, diagonal) == span(run)
+        assert len(run) == 1 or diagonal or hi - lo < 4
+        if following:
+            lo, hi, diagonal = span([*run, following[0]])
+            assert not diagonal and hi - lo >= 4
 
 
 @pytest.mark.parametrize(
