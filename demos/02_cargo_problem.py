@@ -28,7 +28,7 @@ mult = Multipliers.uniform(problem.n_constraints, 13.0)
 qubo = compile_qubo(problem, ("QAOA",) * 6, mult)
 print("QUBO bits:", qubo.n_bits, "slack map:", qubo.slack_map)
 
-values = qubo_values(qubo, np.arange(1 << qubo.n_bits))
+values = qubo_values(qubo)
 print("QUBO minimum:", values.min(), "(negated optimum, slack cleared)")
 
 # The Ising form reproduces the QUBO value on every assignment.

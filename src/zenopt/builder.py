@@ -30,7 +30,7 @@ from .arithmetic import (
     build_uncompute,
     register_width,
 )
-from .errors import InputError, LayoutError
+from .errors import CapacityError, InputError, LayoutError
 from .problem import (
     DEPHASE,
     QAOA,
@@ -44,6 +44,7 @@ from .problem import (
     qubo_values,
 )
 from .statevector import (
+    MAX_QUBITS,
     Gate,
     Projection,
     Statevector,
@@ -56,7 +57,7 @@ from .statevector import (
     gate_rzz,
     marginal_probabilities,
     new_state,
-    project_qubit,
+    project_qubit,  # noqa: F401 - unused; the bench tracer wraps builder.project_qubit
 )
 
 NATURAL = "natural"
@@ -259,9 +260,20 @@ class CompiledModel:
 
 @lru_cache(maxsize=128)
 def compiled_model(problem: ConstrainedBinaryProblem, assignment, mult: Multipliers) -> CompiledModel:
-    """Cached compilation; callers must not mutate the returned arrays."""
+    """Cached compilation; callers must not mutate the returned arrays.
+
+    A model over more than ``MAX_QUBITS`` bits raises CapacityError before
+    its cost table (8 * 2^n_bits bytes) is allocated.
+    """
     qubo = compile_qubo(problem, assignment, mult)
-    table = qubo_values(qubo, np.arange(1 << qubo.n_bits))
+    n = qubo.n_bits
+    if n > MAX_QUBITS:
+        raise CapacityError(
+            f"the compiled model has {n} bits, more than MAX_QUBITS = {MAX_QUBITS}: its cost "
+            f"table would take 8*2^n = {8 << n} bytes and each functional state 16*2^n = "
+            f"{16 << n} bytes"
+        )
+    table = qubo_values(qubo)
     return CompiledModel(qubo, qubo_to_ising(qubo), build_layout(problem, assignment, qubo.n_bits), table)
 
 
@@ -327,16 +339,15 @@ def prepare_initial_state(
 ) -> Statevector:
     """Uniform superposition post-selected on the Zeno-assigned constraints.
 
-    A Hadamard wall covers decision and slack qubits; each ZENO constraint's
-    flag is then computed, projected onto 0, and uncomputed, leaving an even
-    superposition over its feasible subspace with clean ancillas.  The
-    pre-run post-selection is state preparation, so the returned state's
-    survival_prob is reset to 1: survival then tracks only the circuit's own
-    mid-circuit projections.
+    One ``apply_gates`` call: a Hadamard wall covers decision and slack
+    qubits; each ZENO constraint's flag is then computed, projected onto 0,
+    and uncomputed, leaving an even superposition over its feasible subspace
+    with clean ancillas.  The pre-run post-selection is state preparation, so
+    the returned state's survival_prob is reset to 1: survival then tracks
+    only the circuit's own mid-circuit projections.
     """
-    assignment = tuple(assignment)
-    state = new_state(layout.n_qubits)
-    state = apply_gates(state, [gate_h(q) for q in (*layout.decision, *layout.slack)])
+    gates = [gate_h(q) for q in (*layout.decision, *layout.slack)]
+    projections: list[tuple[int, Projection]] = []
     for ci, kind in enumerate(assignment):
         if kind != ZENO:
             continue
@@ -345,24 +356,20 @@ def prepare_initial_state(
         forward = _flag_circuit(con.coeffs, con.bound, reg)
         if not forward:
             continue  # vacuous constraint keeps the full superposition
-        state = apply_gates(state, forward)
-        state = project_qubit(state, reg.flag_qubit, 0)
-        state = apply_gates(state, build_uncompute(forward))
+        gates.extend(forward)
+        projections.append((len(gates), Projection(reg.flag_qubit, 0)))
+        gates.extend(build_uncompute(forward))
+    state = apply_gates(new_state(layout.n_qubits), gates, projections)
     return Statevector(state.n_qubits, state.amplitudes, 1.0)
 
 
 def run_circuit(circuit: HybridCircuit, state: Statevector) -> Statevector:
-    """Execute gates and projections in stream order."""
+    """Execute gates and projections in stream order on one working copy."""
     if state.n_qubits != circuit.layout.n_qubits:
         raise InputError(
             f"state has {state.n_qubits} qubits, circuit needs {circuit.layout.n_qubits}"
         )
-    pos = 0
-    for ppos, proj in circuit.projections:
-        state = apply_gates(state, circuit.gates[pos:ppos])
-        state = project_qubit(state, proj.qubit, proj.outcome)
-        pos = ppos
-    return apply_gates(state, circuit.gates[pos:])
+    return apply_gates(state, circuit.gates, circuit.projections)
 
 
 def ancilla_mass(state: Statevector, layout: CircuitLayout) -> float:

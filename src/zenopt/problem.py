@@ -126,16 +126,26 @@ class Qubo:
     const_term: float
     slack_map: dict[int, tuple[int, ...]]
 
-    def value(self, bits: np.ndarray) -> np.ndarray:
-        """Cost of each row of a (N, n_bits) 0/1 matrix."""
-        qx = bits @ self.Q
-        return np.einsum("ij,ij->i", qx, bits) + bits @ self.B + self.const_term
 
+def qubo_values(qubo: Qubo) -> np.ndarray:
+    """float64 QUBO cost of every basis index 0..2^n_bits - 1 (bit k = bit k of the index).
 
-def qubo_values(qubo: Qubo, indices: np.ndarray) -> np.ndarray:
-    """QUBO cost of each basis index over the qubo's bit layout."""
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1, 1)
-    return qubo.value(((idx >> np.arange(qubo.n_bits, dtype=np.int64)) & 1).astype(np.float64))
+    Built by doubling, as ``subset_sums`` builds a.x: setting bit k over the
+    table of the lower bits adds B[k] + Q[k,k] plus the couplings
+    Q[j,k] + Q[k,j] of the lower bits j that are set, themselves a
+    subset-sum table.  The peak is twice the 8 * 2^n_bits byte table: the top
+    bit's couplings table takes half of that again, its doubling temporaries
+    the other half.
+    """
+    Q, B = qubo.Q, qubo.B
+    table = np.empty(1 << qubo.n_bits)
+    table[0] = qubo.const_term
+    for k in range(qubo.n_bits):
+        half = 1 << k
+        upper = table[half : 2 * half]
+        np.add(table[:half], subset_sums(Q[:k, k] + Q[k, :k]), out=upper)
+        upper += B[k] + Q[k, k]
+    return table
 
 
 def check_kinds(kinds) -> tuple[str, ...]:
@@ -242,7 +252,10 @@ class BruteForceResult:
 
 
 def subset_sums(coeffs) -> np.ndarray:
-    """int64 a.x for every assignment x of len(coeffs) variables (x_0 = bit 0), by doubling."""
+    """a.x for every assignment x of len(coeffs) variables (x_0 = bit 0), by doubling.
+
+    int64 for integer coefficients, float64 for float ones.
+    """
     sums = np.zeros(1, dtype=np.int64)
     for c in coeffs:
         sums = np.concatenate((sums, sums + c))

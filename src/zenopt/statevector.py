@@ -4,25 +4,28 @@ Qubit 0 is the least significant bit of a basis index; basis strings are
 printed most-significant qubit first.  All operations are pure: they return
 new ``Statevector`` values and never mutate their arguments.
 
-Kernels keep no caches.  A gate on two or more qubits and a projection act on
-a strided view of the amplitudes read as one axis per qubit (qubit q is axis
-n-1-q), with the qubits the operation conditions on pinned to a bit; single-
-qubit gates use the equivalent ``(-1, 2, 2**q)`` reshape.  ``apply_gates``
-splits its gate list into greedy runs by one rule: a run grows while all its
+Kernels keep no caches.  A gate on two or more qubits acts on a strided view
+of the amplitudes read as one axis per qubit (qubit q is axis n-1-q), with
+the qubits it conditions on pinned to a bit; single-qubit gates and
+projections use the equivalent ``(-1, 2, 2**q)`` reshape.  ``apply_gates`` runs a gate list and its
+post-selection sites on one working copy of the amplitudes.  Between sites
+it splits the gates into greedy runs by one rule: a run grows while all its
 gates are diagonal (RZ, RZZ, CPHASE), at any width, or while the qubits it
 touches span at most 4, from its lowest qubit lo to its highest hi.  A
 diagonal run of two or more gates builds one phase table over the qubits it
-touches, multiplied into the state in one broadcast; any other run of two or
-more gates builds one matrix of at most 16 x 16 over qubits lo..hi, applied
-in place by matmuls over slices of the state.  A lone gate, and so a
-non-diagonal gate spanning more than 4 qubits, uses its own kernel.
+touches, multiplied into the state in one broadcast; any other run within 4
+qubits, a lone gate included, builds one matrix of at most 16 x 16 over
+qubits lo..hi, applied in place by matmuls over slices of the state.  Only a
+lone diagonal gate and a non-diagonal gate spanning more than 4 qubits use
+the per-gate kernel.
 
 Capacity: a state holds 2**n complex128 amplitudes, 16 * 2**n bytes, which
-is 1 GiB at ``MAX_QUBITS`` = 26.  A gate run holds at most about 4 copies of
-that at once: the caller's state, the working copy, and at most one more
-state-size buffer: the half-size temporaries of a kernel, a fused diagonal
-run's phase table (never more entries than the state), or the output of a
-projection.  A fused span adds only 256 KiB slices.
+is 1 GiB at ``MAX_QUBITS`` = 26.  ``apply_gates`` holds at most 3 state-size
+arrays at once: the caller's state, one working copy, and at most one phase
+table of a diagonal run (never more entries than the state).  On top of
+those it allocates only 256 KiB slices (spans and projection sums) and the
+swap buffer of a CNOT or MCX spanning more than 4 qubits, at most a quarter
+of the state.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ def new_state(n_qubits: int) -> Statevector:
         raise CapacityError(
             f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}{size}: a state takes "
             f"16*2^n bytes, {(16 << MAX_QUBITS) >> 30} GiB at {MAX_QUBITS} qubits, and a "
-            "gate run holds up to about 4 copies"
+            "gate circuit holds up to 3 state-size arrays"
         )
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
@@ -360,47 +363,87 @@ def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int) -> None:
             part[...] = u_t.T @ part
 
 
-def apply_gates(state: Statevector, gates: Sequence[Gate]) -> Statevector:
-    """Apply a gate sequence to one working copy of the amplitudes.
+def _apply_runs(amps: np.ndarray, gates: Sequence[Gate], n_qubits: int) -> None:
+    """Apply ``gates`` to ``amps`` in place, run by run (see ``_runs``)."""
+    for run, lo, hi, diagonal in _runs(gates, n_qubits):
+        if diagonal and len(run) > 1:
+            _apply_diagonal_run(amps, run, n_qubits)
+        elif diagonal or hi - lo >= _SPAN_QUBITS:
+            _apply_inplace(amps, run[0], n_qubits)
+        else:
+            _apply_span(amps, run, lo, hi)
 
-    The gates split into greedy runs (see ``_runs``).  A run of two or more
-    diagonal gates (RZ, RZZ, CPHASE) becomes one phase table; any other run
-    of two or more gates becomes one matrix over its span of at most
-    ``_SPAN_QUBITS`` qubits.  A lone gate goes through the per-gate kernel.
-    Fused runs round differently from ``apply_gate`` folded over the list,
-    by about 1e-15.
+
+def _project(amps: np.ndarray, n_qubits: int, projection: Projection) -> float:
+    """Post-select ``amps`` in place on ``projection``; returns the kept probability.
+
+    The probability is summed over slices of at most ``_SPAN_CHUNK``
+    amplitudes, so no state-size temporary is made.  Raises
+    EmptySubspaceError when it is at most ANNIHILATION_PROB, the sign that
+    post-selection annihilated the state.
+    """
+    qubit, outcome = projection.qubit, projection.outcome
+    if not 0 <= qubit < n_qubits:
+        raise ShapeError(f"qubit {qubit} out of range")
+    if outcome not in (0, 1):
+        raise ShapeError(f"outcome must be 0 or 1, got {outcome}")
+    view = amps.reshape(-1, 2, 1 << qubit)
+    kept = view[:, outcome, :]
+    rows = max(1, _SPAN_CHUNK >> qubit)
+    cols = min(1 << qubit, _SPAN_CHUNK)
+    prob = 0.0
+    for i in range(0, len(kept), rows):
+        for j in range(0, 1 << qubit, cols):
+            part = kept[i : i + rows, j : j + cols]
+            prob += float(np.vdot(part, part).real)
+    if prob <= ANNIHILATION_PROB:
+        raise EmptySubspaceError(
+            f"projection of qubit {qubit} onto |{outcome}> has probability {prob:.3e}"
+        )
+    view[:, 1 - outcome, :] = 0.0
+    kept /= np.sqrt(prob)
+    return prob
+
+
+def apply_gates(
+    state: Statevector,
+    gates: Sequence[Gate],
+    projections: Sequence[tuple[int, Projection]] = (),
+) -> Statevector:
+    """Apply a gate sequence and its post-selection sites to one working copy.
+
+    ``projections`` holds ``(position, Projection)`` pairs in stream order,
+    as in ``HybridCircuit.projections``: each follows the first ``position``
+    gates.  Between sites the gates go through the fused runs of the module
+    docstring.  A projection renormalizes the kept half in place and
+    multiplies its probability into ``survival_prob``; one keeping at most
+    ANNIHILATION_PROB raises EmptySubspaceError.  Fused runs round
+    differently from the gates folded one by one, by about 1e-15.
     """
     n = state.n_qubits
     amps = state.amplitudes.copy()
-    for run, lo, hi, diagonal in _runs(gates, n):
-        if len(run) == 1:
-            _apply_inplace(amps, run[0], n)
-        elif diagonal:
-            _apply_diagonal_run(amps, run, n)
-        else:
-            _apply_span(amps, run, lo, hi)
-    return Statevector(n, amps, state.survival_prob)
+    survival = state.survival_prob
+    done = 0
+    for position, projection in projections:
+        if not done <= position <= len(gates):
+            raise ShapeError(
+                f"projection position {position} is out of order or beyond {len(gates)} gates"
+            )
+        _apply_runs(amps, gates[done:position], n)
+        survival *= _project(amps, n, projection)
+        done = position
+    _apply_runs(amps, gates[done:], n)
+    return Statevector(n, amps, survival)
 
 
 def project_qubit(state: Statevector, qubit: int, outcome: int) -> Statevector:
     """Post-select ``qubit`` on ``outcome``, renormalize, track survival.
 
-    Raises EmptySubspaceError when the outcome probability is at most
-    ANNIHILATION_PROB, the sign that post-selection annihilated the state.
+    This is ``apply_gates`` with one projection and no gates, so it raises
+    EmptySubspaceError when the outcome probability is at most
+    ANNIHILATION_PROB.
     """
-    if not 0 <= qubit < state.n_qubits:
-        raise ShapeError(f"qubit {qubit} out of range")
-    if outcome not in (0, 1):
-        raise ShapeError(f"outcome must be 0 or 1, got {outcome}")
-    kept = _bits_view(state.amplitudes, state.n_qubits, {qubit: outcome})
-    prob = float(np.sum(np.abs(kept) ** 2))
-    if prob <= ANNIHILATION_PROB:
-        raise EmptySubspaceError(
-            f"projection of qubit {qubit} onto |{outcome}> has probability {prob:.3e}"
-        )
-    amps = np.zeros_like(state.amplitudes)
-    np.divide(kept, np.sqrt(prob), out=_bits_view(amps, state.n_qubits, {qubit: outcome}))
-    return Statevector(state.n_qubits, amps, state.survival_prob * prob)
+    return apply_gates(state, (), [(0, Projection(qubit, outcome))])
 
 
 def sample(state: Statevector, shots: int, seed: int) -> dict[str, int]:

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from zenopt import (
+    CapacityError,
+    ConstrainedBinaryProblem,
+    Constraint,
     DEPHASE,
     EmptySubspaceError,
     FunctionalCircuit,
@@ -76,7 +79,7 @@ def test_phase_return_matches_diagonal_oracle():
     gamma = 0.23
     state = apply_gates(new_state(n), [gate_h(q) for q in range(n)])
     via_gates = apply_gates(state, build_phase_return(ising, gamma))
-    centered = qubo_values(qubo, np.arange(1 << n)) - ising.identity
+    centered = qubo_values(qubo) - ising.identity
     via_oracle = state.amplitudes * np.exp(-1j * gamma * centered)
     assert np.max(np.abs(via_gates.amplitudes - via_oracle)) < 1e-9
 
@@ -92,7 +95,7 @@ def test_composition_identity_textbook_qaoa():
     qubo = compile_qubo(problem, ALL_QAOA, MULT)
     ising = qubo_to_ising(qubo)
     n = qubo.n_bits
-    centered = qubo_values(qubo, np.arange(1 << n)) - ising.identity
+    centered = qubo_values(qubo) - ising.identity
     phased = np.exp(-1j * gamma * centered) / np.sqrt(1 << n)
     reference = apply_gates(Statevector(n, phased), [gate_rx(q, beta) for q in range(n)])
     assert np.max(np.abs(hybrid.amplitudes - reference.amplitudes)) < 1e-9
@@ -284,8 +287,6 @@ def test_prepare_initial_state_tight_bound():
     # Bound 0 admits only the all-zeros branch of the constrained vars; the
     # pre-run keeps exactly that slice of the superposition (an unsatisfiable
     # bound is unreachable through the problem type, whose bounds are >= 0).
-    from zenopt import ConstrainedBinaryProblem, Constraint
-
     problem = ConstrainedBinaryProblem(2, (1, 1), (Constraint((1, 1), 0, "zero"),))
     mult = Multipliers.uniform(1, 1.0)
     circuit = build_circuit(problem, (ZENO,), mult, LayerParams((0.0,), (0.0,)))
@@ -316,9 +317,10 @@ def test_ancilla_mass_of_dirty_register_matches_bit_mask():
     assert ancilla_mass(new_state(3), build_layout(cargo(), ALL_QAOA, 3)) == 0.0
 
 
-def test_run_circuit_peak_memory_within_state_copies():
-    assignment = parse_assignment("DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA")
-    circuit = build_circuit(cargo(), assignment, MULT, LayerParams((0.1,), (0.2,), 2))
+def _run_circuit_peak(assignment: str, q_measurements: int) -> float:
+    """tracemalloc peak of ``run_circuit`` on a 16-qubit cargo circuit, in states."""
+    assignment = parse_assignment(assignment)
+    circuit = build_circuit(cargo(), assignment, MULT, LayerParams((0.1,), (0.2,), q_measurements))
     state = prepare_initial_state(cargo(), assignment, circuit.layout)
     assert circuit.layout.n_qubits == 16
     tracemalloc.start()
@@ -327,7 +329,53 @@ def test_run_circuit_peak_memory_within_state_copies():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
+    return peak / state.amplitudes.nbytes
+
+
+# run_circuit allocates one working copy of the state; the rest is a phase
+# table of the decision and slack qubits, slices and gate matrices.
+def test_run_circuit_peak_memory_within_state_copies():
+    peak = _run_circuit_peak("DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA", 2)
+    assert peak <= 2.0, peak
+
+
+def test_run_circuit_peak_memory_weight_zeno():
+    peak = _run_circuit_peak("ZENO,QAOA,QAOA,QAOA,QAOA,QAOA", 3)
+    assert peak <= 2.0, peak
+
+
+def _two_constraint_model():
+    """All-QAOA model over 6 variables and two 7-bit slack registers: 20 bits."""
+    constraints = (Constraint((1, 2, 3, 4, 5, 6), 127, "a"), Constraint((3, 1, 4, 1, 5, 9), 127, "b"))
+    problem = ConstrainedBinaryProblem(6, (1, 2, 3, 4, 5, 6), constraints)
+    return problem, (QAOA, QAOA), Multipliers.uniform(2, 13)
+
+
+def test_compiled_model_peak_memory_within_state_copies():
+    problem, assignment, mult = _two_constraint_model()
+    tracemalloc.start()
+    try:
+        model = compiled_model.__wrapped__(problem, assignment, mult)  # bypass the cache
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_bits = model.qubo.n_bits
+    assert n_bits >= 20
+    state_bytes = 16 << n_bits
+    assert peak <= 2.0 * state_bytes, peak / state_bytes
+
+
+def test_compiled_model_rejects_oversized_model_before_allocating():
+    # Bound 2^40 needs 41 slack bits: 44 QUBO bits, a 128 TiB cost table.
+    problem = ConstrainedBinaryProblem(3, (1, 1, 1), (Constraint((1, 1, 1), 1 << 40, "huge"),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"44 bits.*{8 << 44} bytes.*{16 << 44} bytes"):
+            compiled_model(problem, (QAOA,), Multipliers.uniform(1, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_circuit_stats_empty_and_cnot():

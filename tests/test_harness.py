@@ -323,6 +323,17 @@ def test_cli_rejects_malformed_measurement_count_list(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_oversized_model_exits_3(tmp_path, capsys):
+    # Bound 2^40 compiles to 44 QUBO bits; the check runs before any table exists.
+    from zenopt import ConstrainedBinaryProblem, Constraint
+
+    problem = ConstrainedBinaryProblem(3, (1, 1, 1), (Constraint((1, 1, 1), 1 << 40, "huge"),))
+    path = tmp_path / "huge.json"
+    save_problem(problem, str(path))
+    assert main(["solve", "--problem", str(path), "--assign", "QAOA"]) == 3
+    assert "capacity error: the compiled model has 44 bits" in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path):
     assert main(["solve", "--problem", "missing.json", "--assign", "QAOA"]) == 2
 

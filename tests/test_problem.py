@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from zenopt import (
     slack_width,
 )
 from zenopt.problem import (
+    DEPHASE,
     QAOA,
     ZENO,
     Qubo,
@@ -96,7 +98,7 @@ def test_compile_qubo_lambda_zero_maximizes_objective():
     problem = cargo()
     mult = Multipliers.uniform(6, 0.0)
     qubo = compile_qubo(problem, (QAOA,) * 6, mult)
-    values = qubo_values(qubo, np.arange(1 << qubo.n_bits))
+    values = qubo_values(qubo)
     minimum = values.min()
     minimizers = np.nonzero(values == minimum)[0]
     assert all(m & 0b111111 == 0b111111 for m in minimizers)
@@ -106,7 +108,7 @@ def test_feasible_points_admit_zero_penalty_slack():
     problem = cargo()
     mult = Multipliers.uniform(6, 13)
     qubo = compile_qubo(problem, (QAOA,) * 6, mult)
-    values = qubo_values(qubo, np.arange(1 << qubo.n_bits))
+    values = qubo_values(qubo)
     oracle = brute_force_solve(problem)
     objective = np.asarray(problem.objective)
     for decision in oracle.feasible_indices:
@@ -120,7 +122,7 @@ def test_penalty_dominance():
     lam = sum(abs(c) for c in problem.objective) + 1
     mult = Multipliers.uniform(6, lam)
     qubo = compile_qubo(problem, (QAOA,) * 6, mult)
-    values = qubo_values(qubo, np.arange(1 << qubo.n_bits))
+    values = qubo_values(qubo)
     oracle = brute_force_solve(problem)
     feasible_best = -oracle.opt_value
     decision = np.arange(1 << qubo.n_bits) & 63
@@ -158,7 +160,7 @@ def test_qubo_to_ising_coupler():
     ising = qubo_to_ising(qubo)
     assert ising.zz == {(0, 1): 0.5}
     idx = np.arange(4)
-    assert np.allclose(ising.value(idx, 2), qubo_values(qubo, idx))
+    assert np.allclose(ising.value(idx, 2), qubo_values(qubo))
 
 
 def test_qubo_to_ising_rejects_asymmetric():
@@ -173,7 +175,7 @@ def test_ising_reconstruction_exhaustive(assignment):
     qubo = compile_qubo(problem, assignment, Multipliers.uniform(6, 13))
     ising = qubo_to_ising(qubo)
     idx = np.arange(1 << qubo.n_bits)
-    assert np.max(np.abs(ising.value(idx, qubo.n_bits) - qubo_values(qubo, idx))) < 1e-9
+    assert np.max(np.abs(ising.value(idx, qubo.n_bits) - qubo_values(qubo))) < 1e-9
 
 
 def test_problem_validation():
@@ -269,8 +271,38 @@ def test_qubo_minimum_is_negated_optimum(seed):
     total = sum(abs(c) for c in problem.objective)
     lambdas = tuple(float(v) for v in total + rng.uniform(0.01, 2.0, size=problem.n_constraints))
     qubo = compile_qubo(problem, (QAOA,) * problem.n_constraints, Multipliers(lambdas, 1.0))
-    values = qubo_values(qubo, np.arange(1 << qubo.n_bits))
+    values = qubo_values(qubo)
     assert abs(values.min() + brute_force_solve(problem).opt_value) < 1e-9
+
+
+def _bit_matrix_values(qubo):
+    """x^T Q x + B.x + const of every basis index, from its (2^n, n) 0/1 bit matrix."""
+    idx = np.arange(1 << qubo.n_bits).reshape(-1, 1)
+    bits = ((idx >> np.arange(qubo.n_bits)) & 1).astype(np.float64)
+    return np.einsum("ij,ij->i", bits @ qubo.Q, bits) + bits @ qubo.B + qubo.const_term
+
+
+def test_doubled_cost_table_equals_bit_matrix_formula_on_every_cargo_assignment():
+    # At lambda = 13 every cost is an integer, so both sums are exact.
+    problem = cargo()
+    mult = Multipliers.uniform(6, 13)
+    for assignment in itertools.product((QAOA, DEPHASE, ZENO), repeat=6):
+        qubo = compile_qubo(problem, assignment, mult)
+        assert np.array_equal(qubo_values(qubo), _bit_matrix_values(qubo)), assignment
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_doubled_cost_table_matches_bit_matrix_formula_on_float_inputs(seed):
+    rng = np.random.default_rng(seed)
+    n = 3 + 2 * seed
+    asymmetric = Qubo(n, rng.normal(size=(n, n)), rng.normal(size=n), float(rng.normal()), {})
+    problem = _random_problem(seed, 2 + seed, 1 + seed % 3)
+    lambdas = tuple(float(v) for v in rng.uniform(0.1, 3.0, size=problem.n_constraints))
+    fractional = compile_qubo(problem, (QAOA,) * problem.n_constraints, Multipliers(lambdas, 0.5))
+    for qubo in (asymmetric, fractional):
+        expected = _bit_matrix_values(qubo)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(qubo_values(qubo) - expected)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("kind", ["Z", "zeno"])

@@ -8,6 +8,7 @@ from zenopt import (
     CapacityError,
     EmptySubspaceError,
     Gate,
+    Projection,
     ShapeError,
     Statevector,
     apply_gate,
@@ -435,6 +436,62 @@ def test_fused_runs_peak_memory_within_state_copies():
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
+
+
+def _projected_circuit(n, rng, outcome):
+    """Random gates with projection sites first, in the middle back to back,
+    and last, on qubit 0 and qubit n-1 with both outcomes (one qubit: the
+    same outcome throughout).  An RX before the middle and the last site
+    mixes the qubit projected there, so no site annihilates the state."""
+    top, other = n - 1, (1 - outcome if n > 1 else outcome)
+    head = _fusion_cases(n, rng) + [gate_rx(0, 1.3)]
+    gates = head + _fusion_cases(n, rng) + [gate_rx(top, 0.9)]
+    sites = [
+        (0, Projection(0, outcome)),
+        (len(head), Projection(top, outcome)),
+        (len(head), Projection(0, other)),
+        (len(gates), Projection(top, other)),
+    ]
+    return gates, sites
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16])
+def test_projection_sites_match_segments_folded(n):
+    rng = np.random.default_rng(400 + n)
+    for i in range(3):
+        for outcome in (0, 1):
+            gates, sites = _projected_circuit(n, rng, outcome)
+            state = _random_state(n, rng)
+            before = state.amplitudes.copy()
+            out = apply_gates(state, gates, sites)
+            folded, done = state, 0
+            for position, proj in sites:
+                folded = apply_gates(folded, gates[done:position])
+                folded = project_qubit(folded, proj.qubit, proj.outcome)
+                done = position
+            folded = apply_gates(folded, gates[done:])
+            assert np.max(np.abs(out.amplitudes - folded.amplitudes)) < 1e-12, (i, outcome)
+            assert abs(out.survival_prob - folded.survival_prob) < 1e-12, (i, outcome)
+            assert np.array_equal(state.amplitudes, before) and state.survival_prob == 0.75
+
+
+def test_projection_site_annihilation_and_order_errors():
+    state = apply_gates(new_state(3), [gate_h(0), gate_x(2)])
+    before = state.amplitudes.copy()
+    message = r"^projection of qubit 2 onto \|0> has probability 0\.000e\+00$"
+    with pytest.raises(EmptySubspaceError, match=message):
+        apply_gates(state, [gate_h(1)], [(0, Projection(0, 1)), (1, Projection(2, 0))])
+    with pytest.raises(EmptySubspaceError, match=message):
+        project_qubit(state, 2, 0)
+    assert np.array_equal(state.amplitudes, before)
+    with pytest.raises(ShapeError, match="out of order"):
+        apply_gates(state, [gate_h(1)], [(1, Projection(0, 0)), (0, Projection(1, 0))])
+    with pytest.raises(ShapeError, match="beyond 1 gates"):
+        apply_gates(state, [gate_h(1)], [(2, Projection(0, 0))])
+    with pytest.raises(ShapeError, match="qubit 3 out of range"):
+        apply_gates(state, [], [(0, Projection(3, 0))])
+    with pytest.raises(ShapeError, match="outcome must be 0 or 1, got 2"):
+        apply_gates(state, [], [(0, Projection(0, 2))])
 
 
 @pytest.mark.parametrize("n", [3, 6, 16])
