@@ -7,17 +7,17 @@ new ``Statevector`` values and never mutate their arguments.
 Kernels keep no caches.  A gate on two or more qubits acts on a strided view
 of the amplitudes read as one axis per qubit (qubit q is axis n-1-q), with
 the qubits it conditions on pinned to a bit; single-qubit gates and
-projections use the equivalent ``(-1, 2, 2**q)`` reshape.  ``apply_gates`` runs a gate list and its
-post-selection sites on one working copy of the amplitudes.  Between sites
-it splits the gates into greedy runs by one rule: a run grows while all its
-gates are diagonal (RZ, RZZ, CPHASE), at any width, or while the qubits it
-touches span at most 4, from its lowest qubit lo to its highest hi.  A
-diagonal run of two or more gates builds one phase table over the qubits it
-touches, multiplied into the state in one broadcast; any other run within 4
-qubits, a lone gate included, builds one matrix of at most 16 x 16 over
-qubits lo..hi, applied in place by matmuls over slices of the state.  Only a
-lone diagonal gate and a non-diagonal gate spanning more than 4 qubits use
-the per-gate kernel.
+projections use the equivalent ``(-1, 2, 2**q)`` reshape.  ``apply_gates``
+runs a gate list and its post-selection sites on one working copy of the
+amplitudes.  Between sites it splits the gates into greedy runs by one rule.
+A run grows while all its gates are diagonal (RZ, RZZ, CPHASE), at any
+width; or while the qubits it touches span at most 4, from its lowest qubit
+lo to its highest hi; or while it holds a gate on two or more qubits and
+spans at most 6.  A diagonal run of two or more gates builds one phase table
+over the qubits it touches, multiplied into the state in one broadcast.  A
+lone diagonal gate, and a lone gate spanning more than 4 qubits, use the
+per-gate kernel.  Every other run builds one matrix of at most 64 x 64 over
+qubits lo..hi, applied in place by matmuls over slices of the state.
 
 Capacity: a state holds 2**n complex128 amplitudes, 16 * 2**n bytes, which
 is 1 GiB at ``MAX_QUBITS`` = 26.  ``apply_gates`` holds at most 3 state-size
@@ -53,14 +53,19 @@ MCX = "MCX"
 
 GATE_KINDS = frozenset({H, X, RX, RZ, RZZ, CNOT, CPHASE, MCX})
 
-# The gate kinds a diagonal run may hold; the widest span, in qubits, of
-# any other fused run (a matrix of at most 16 x 16, chosen by measurement:
-# 5 makes mixer walls 32 x 32 and no faster overall); the amplitudes one of
-# its matmuls covers, which bounds the run's temporaries (256 KiB); the
-# highest lo whose tiles a span transposes into one matmul (rows of at most
-# 16 amplitudes); and the low qubits a diagonal table on qubit 0 covers.
+# The gate kinds a diagonal run may hold; the widest span, in qubits, of a
+# fused run of single-qubit gates (16 x 16: such a run is a Kronecker
+# product, a 64 x 64 pass costs more than two 16 x 16 ones, and 32 x 32
+# mixer walls measured no faster overall); the widest span of a fused run
+# that holds a gate on two or more qubits (64 x 64: such a run does not
+# factor, so each qubit it takes in saves whole passes over the state);
+# the amplitudes one of a span's matmuls covers, which bounds the run's
+# temporaries (256 KiB); the highest lo whose tiles a span transposes into
+# one matmul (rows of at most 16 amplitudes); and the low qubits a diagonal
+# table on qubit 0 covers.
 _DIAGONAL = frozenset({RZ, RZZ, CPHASE})
 _SPAN_QUBITS = 4
+_ENTANGLING_SPAN_QUBITS = 6
 _SPAN_CHUNK = 1 << 14
 _NARROW_LO = 4
 _DIAGONAL_LOW = 6
@@ -311,21 +316,31 @@ def _apply_diagonal_run(amps: np.ndarray, run: list[Gate], n_qubits: int) -> Non
 def _runs(gates: Sequence[Gate], n_qubits: int):
     """Split ``gates`` into greedy runs, yielding (run, lo, hi, diagonal).
 
-    A run grows while all its gates are diagonal, at any width, or while the
-    qubits it touches stay within a span hi - lo + 1 <= ``_SPAN_QUBITS``.
+    A run takes the next gate while, with it, all its gates are diagonal, at
+    any width; or its span hi - lo + 1 is at most ``_SPAN_QUBITS``; or it
+    holds a gate on two or more qubits and spans at most
+    ``_ENTANGLING_SPAN_QUBITS``.  So a run that is not diagonal is one gate
+    or spans at most 6 qubits, and one of single-qubit gates spans at most 4.
     """
     run: list[Gate] = []
     for gate in gates:
         _check_gate(gate, n_qubits)
-        g_lo, g_hi, g_diagonal = min(gate.qubits), max(gate.qubits), gate.kind in _DIAGONAL
+        g_lo, g_hi = min(gate.qubits), max(gate.qubits)
+        g_diagonal, g_entangling = gate.kind in _DIAGONAL, len(gate.qubits) > 1
         if run:
             new_lo, new_hi = min(lo, g_lo), max(hi, g_hi)
-            if (diagonal and g_diagonal) or new_hi - new_lo < _SPAN_QUBITS:
+            new_diagonal, new_entangling = diagonal and g_diagonal, entangling or g_entangling
+            width = new_hi - new_lo + 1
+            if (
+                new_diagonal
+                or width <= _SPAN_QUBITS
+                or (new_entangling and width <= _ENTANGLING_SPAN_QUBITS)
+            ):
                 run.append(gate)
-                lo, hi, diagonal = new_lo, new_hi, diagonal and g_diagonal
+                lo, hi, diagonal, entangling = new_lo, new_hi, new_diagonal, new_entangling
                 continue
             yield run, lo, hi, diagonal
-        run, lo, hi, diagonal = [gate], g_lo, g_hi, g_diagonal
+        run, lo, hi, diagonal, entangling = [gate], g_lo, g_hi, g_diagonal, g_entangling
     if run:
         yield run, lo, hi, diagonal
 
@@ -333,9 +348,12 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
 def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int) -> None:
     """Apply a run within qubits lo..hi in place as one d x d matrix.
 
-    d = 2**(hi-lo+1) <= 16.  The matrix acts on axis 1 of the
+    d = 2**(hi-lo+1) <= 64.  The matrix acts on axis 1 of the
     ``(2**(n-hi-1), d, 2**lo)`` view, by matmuls over slices of at most
-    ``_SPAN_CHUNK`` amplitudes, so no state-size temporary is made.
+    ``_SPAN_CHUNK`` amplitudes, so no state-size temporary is made: with
+    lo + width <= 10 on the transposing path, each chunk holds at least one
+    whole tile; on the other path a slice is whole tiles or, when one tile
+    is wider than a chunk, ``_SPAN_CHUNK // d`` of its columns.
     """
     width = hi - lo + 1
     d = 1 << width
@@ -364,11 +382,17 @@ def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int) -> None:
 
 
 def _apply_runs(amps: np.ndarray, gates: Sequence[Gate], n_qubits: int) -> None:
-    """Apply ``gates`` to ``amps`` in place, run by run (see ``_runs``)."""
+    """Apply ``gates`` to ``amps`` in place, run by run (see ``_runs``).
+
+    Each branch applies a whole run, chosen by its shape: a diagonal run of
+    two or more gates as a phase table; one gate that is diagonal or spans
+    more than ``_SPAN_QUBITS`` by the per-gate kernel; any other run, which
+    ``_runs`` keeps within ``_ENTANGLING_SPAN_QUBITS``, as one span.
+    """
     for run, lo, hi, diagonal in _runs(gates, n_qubits):
         if diagonal and len(run) > 1:
             _apply_diagonal_run(amps, run, n_qubits)
-        elif diagonal or hi - lo >= _SPAN_QUBITS:
+        elif len(run) == 1 and (diagonal or hi - lo >= _SPAN_QUBITS):
             _apply_inplace(amps, run[0], n_qubits)
         else:
             _apply_span(amps, run, lo, hi)

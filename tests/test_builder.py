@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -17,6 +18,7 @@ from zenopt import (
     QAOA,
     Statevector,
     ZENO,
+    apply_gate,
     apply_gates,
     build_circuit,
     build_dephasing_layer,
@@ -30,6 +32,7 @@ from zenopt import (
     new_state,
     parse_assignment,
     prepare_initial_state,
+    project_qubit,
     qubo_to_ising,
     qubo_values,
     run_circuit,
@@ -342,6 +345,28 @@ def test_run_circuit_peak_memory_within_state_copies():
 def test_run_circuit_peak_memory_weight_zeno():
     peak = _run_circuit_peak("ZENO,QAOA,QAOA,QAOA,QAOA,QAOA", 3)
     assert peak <= 2.0, peak
+
+
+@pytest.mark.parametrize("assignment", ["DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA", "ZENO,QAOA,QAOA,QAOA,QAOA,QAOA"])
+def test_run_circuit_matches_gates_and_sites_folded_one_at_a_time(assignment):
+    """The fused runs of a 16-qubit cargo circuit, whose cost registers and
+    flags take 5-qubit spans, against its gates and sites folded one at a
+    time.  A projection keeping probability p scales rounding by 1/sqrt(p),
+    so amplitudes agree within 1e-12/sqrt(survival)."""
+    assignment = parse_assignment(assignment)
+    circuit = build_circuit(cargo(), assignment, MULT, LayerParams((0.1,), (0.6,), 2))
+    state = prepare_initial_state(cargo(), assignment, circuit.layout)
+    assert circuit.layout.n_qubits == 16
+    out = run_circuit(circuit, state)
+    folded, done = state, 0
+    for position, projection in circuit.projections:
+        folded = functools.reduce(apply_gate, circuit.gates[done:position], folded)
+        folded = project_qubit(folded, projection.qubit, projection.outcome)
+        done = position
+    folded = functools.reduce(apply_gate, circuit.gates[done:], folded)
+    gap = np.max(np.abs(out.amplitudes - folded.amplitudes))
+    assert gap <= 1e-12 / np.sqrt(folded.survival_prob), (gap, folded.survival_prob)
+    assert abs(out.survival_prob - folded.survival_prob) <= 1e-12
 
 
 def _two_constraint_model():

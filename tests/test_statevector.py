@@ -388,16 +388,29 @@ def _comparator(cost, flag):
 def _mixed_cases(n, rng):
     """Named gate lists whose runs mix diagonal and non-diagonal gates."""
     cases = {}
-    for width in (4, 5):
+    for width in (4, 5, 6):
         w = min(width, n)
         for where, lo in (("bottom", 0), ("middle", (n - w) // 2), ("top", n - w)):
             qubits = list(range(lo, lo + w))
             ladder = _ladder(qubits, rng)
             cases[f"qft{width}-{where}"] = ladder + [g.inverse() for g in reversed(_ladder(qubits, rng))]
+    w = min(6, n)
+    cases["qft6-then-rx8"] = _ladder(range(w), rng) + [gate_rx(q, 0.3 + 0.1 * q) for q in range(min(8, n))]
     if n >= 2:
         m = min(4, n - 1)
         cases["comparator-top"] = _comparator(list(range(n - 1 - m, n - 1)), n - 1)
         cases["comparator-bottom"] = _comparator(list(range(m)), m)
+        # A 5-qubit cost register with its flag on the top qubit, as in the
+        # 20-qubit benchmark circuits (qubits 14-19).
+        m = min(5, n - 1)
+        cases["comparator5-flag-top"] = _comparator(list(range(n - 1 - m, n - 1)), n - 1)
+        # Lone 5-qubit gates between single-qubit runs on the top qubit: from
+        # 7 qubits up no run can take them in.
+        five, top = list(range(min(5, n))), n - 1
+        walls = [[gate_h(top), gate_rx(top, 0.4)], [gate_x(top)], [gate_rx(top, -0.8), gate_h(top)]]
+        cases["lone-mcx5-and-cphase5"] = [
+            *walls[0], gate_mcx(five[:-1], five[-1]), *walls[1], gate_cphase(five, 0.7), *walls[2]
+        ]
         cases["cnot-across"] = [gate_h(0), gate_x(1), gate_cnot(0, n - 1), gate_h(1), gate_rz(0, 0.4), gate_h(0)]
         cases["qubit0-and-top-diagonal"] = [gate_rz(0, 0.3), gate_cphase((0, n - 1), 0.9), gate_rz(n - 1, 0.2)]
     cases["qubit0-diagonal"] = [gate_rz(0, 0.3), gate_phase(0, 1.1), gate_rz(0, -0.7)]
@@ -405,10 +418,13 @@ def _mixed_cases(n, rng):
     return cases
 
 
-# 1-9 qubits cross the 4-qubit span limit; 16 qubits split every span's
-# matmuls into several slices.  The mixed cases put QFT ladders at the bottom,
-# middle and top of the register, comparators, a CNOT from qubit 0 to the top
-# qubit inside a run, and diagonal runs on qubit 0.
+# 1-9 qubits cross the 4- and 6-qubit span limits; 16 qubits split every
+# span's matmuls into several slices.  The mixed cases put 4-, 5- and 6-qubit
+# QFT ladders at the bottom, middle and top of the register, an 8-qubit RX
+# wall right after a ladder, comparators (one over a 5-qubit register with
+# its flag on the top qubit), a lone 5-qubit MCX and CPHASE between runs, a
+# CNOT from qubit 0 to the top qubit inside a run, and diagonal runs on
+# qubit 0.
 @pytest.mark.parametrize("n", [*range(1, 10), 16])
 def test_fused_runs_match_gate_by_gate(n):
     rng = np.random.default_rng(300 + n)
@@ -425,8 +441,10 @@ def test_fused_runs_peak_memory_within_state_copies():
     n = 16
     ring = [gate_rzz(q, (q + 1) % n, 0.3 + 0.1 * q) for q in range(n)]
     wall = [gate_rx(q, 0.7) for q in range(n)]
-    # Mixed spans at lo 2 (one transposed chunk per matmul) and 6 (tiles).
+    # Mixed 4-qubit spans at lo 2 (one transposed chunk per matmul) and 6
+    # (tiles), and 6-qubit spans at lo 0, 5 and n-6 (column slices of a tile).
     ladders = [_ladder(range(lo, lo + 4), np.random.default_rng(lo)) for lo in (2, 6)]
+    ladders += [_ladder(range(lo, lo + 6), np.random.default_rng(lo)) for lo in (0, 5, n - 6)]
     state = new_state(n)
     for gates in [ring + wall, *ladders]:
         tracemalloc.start()
@@ -496,22 +514,31 @@ def test_projection_site_annihilation_and_order_errors():
 
 @pytest.mark.parametrize("n", [3, 6, 16])
 def test_runs_follow_the_span_rule(n):
-    """Every fused run is diagonal or spans at most 4 qubits, and no run could
-    have taken the gate that starts the next one."""
+    """Every fused run grew by the rule: each prefix of two or more gates is
+    diagonal, or spans at most 4 qubits, or holds a gate on two or more
+    qubits and spans at most 6.  A run of single-qubit gates that is not
+    diagonal spans at most 4, and no run could have taken the gate that
+    starts the next one."""
 
     def span(gates):
         qubits = [q for gate in gates for q in gate.qubits]
         return min(qubits), max(qubits), all(gate.kind in ("RZ", "RZZ", "CPHASE") for gate in gates)
+
+    def fits(gates):
+        lo, hi, diagonal = span(gates)
+        entangling = any(len(gate.qubits) > 1 for gate in gates)
+        return diagonal or hi - lo < 4 or (entangling and hi - lo < 6)
 
     gates = _mixed_cases(n, np.random.default_rng(n))["all"] + _fusion_cases(n, np.random.default_rng(n))
     runs = list(statevector._runs(gates, n))
     assert [gate for run, *_ in runs for gate in run] == gates
     for (run, lo, hi, diagonal), (following, *_) in zip(runs, [*runs[1:], ([],)]):
         assert (lo, hi, diagonal) == span(run)
-        assert len(run) == 1 or diagonal or hi - lo < 4
+        assert all(fits(run[:k]) for k in range(2, len(run) + 1)), run
+        if not diagonal and all(len(gate.qubits) == 1 for gate in run):
+            assert hi - lo < 4, run
         if following:
-            lo, hi, diagonal = span([*run, following[0]])
-            assert not diagonal and hi - lo >= 4
+            assert not fits([*run, following[0]]), (run, following[0])
 
 
 @pytest.mark.parametrize(
