@@ -50,7 +50,6 @@ from .statevector import (
     Statevector,
     apply_gates,
     gate_cphase,
-    gate_h,
     gate_phase,
     gate_rx,
     gate_rz,
@@ -339,14 +338,25 @@ def prepare_initial_state(
 ) -> Statevector:
     """Uniform superposition post-selected on the Zeno-assigned constraints.
 
-    One ``apply_gates`` call: a Hadamard wall covers decision and slack
-    qubits; each ZENO constraint's flag is then computed, projected onto 0,
-    and uncomputed, leaving an even superposition over its feasible subspace
-    with clean ancillas.  The pre-run post-selection is state preparation, so
-    the returned state's survival_prob is reset to 1: survival then tracks
-    only the circuit's own mid-circuit projections.
+    The Hadamard wall on the k decision and slack qubits is written directly:
+    ``build_layout`` puts them on qubits 0..k-1 (any other layout raises
+    LayoutError), so H^k|0...0> sets the first 2**k amplitudes to 2**(-k/2)
+    of a state from ``new_state``, which raises CapacityError before it
+    allocates.  Each ZENO constraint's flag is then computed, projected onto
+    0, and uncomputed in one ``apply_gates`` call, leaving an even
+    superposition over its feasible subspace with clean ancillas; with no
+    such flag no gate runs.  The pre-run post-selection is state
+    preparation, so the returned state's survival_prob is 1: survival then
+    tracks only the circuit's own mid-circuit projections.
     """
-    gates = [gate_h(q) for q in (*layout.decision, *layout.slack)]
+    k = len(layout.decision) + len(layout.slack)
+    if (*layout.decision, *layout.slack) != tuple(range(k)):
+        raise LayoutError(
+            f"decision and slack qubits must be 0..{k - 1}, got {layout.decision} and {layout.slack}"
+        )
+    state = new_state(layout.n_qubits)
+    state.amplitudes[: 1 << k] = 2.0 ** (-k / 2)
+    gates: list[Gate] = []
     projections: list[tuple[int, Projection]] = []
     for ci, kind in enumerate(assignment):
         if kind != ZENO:
@@ -359,8 +369,9 @@ def prepare_initial_state(
         gates.extend(forward)
         projections.append((len(gates), Projection(reg.flag_qubit, 0)))
         gates.extend(build_uncompute(forward))
-    state = apply_gates(new_state(layout.n_qubits), gates, projections)
-    return Statevector(state.n_qubits, state.amplitudes, 1.0)
+    if not gates:
+        return state
+    return Statevector(state.n_qubits, apply_gates(state, gates, projections).amplitudes, 1.0)
 
 
 def run_circuit(circuit: HybridCircuit, state: Statevector) -> Statevector:

@@ -14,7 +14,9 @@ A run grows while all its gates are diagonal (RZ, RZZ, CPHASE), at any
 width; or while the qubits it touches span at most 4, from its lowest qubit
 lo to its highest hi; or while it holds a gate on two or more qubits and
 spans at most 6.  A diagonal run of two or more gates builds one phase table
-over the qubits it touches, multiplied into the state in one broadcast.  A
+over the qubits it touches, by doubling: each gate acts only on the entries
+up to its highest qubit, and copies extend the table one qubit at a time.
+The table is multiplied into the state in one broadcast.  A
 lone diagonal gate, and a lone gate spanning more than 4 qubits, use the
 per-gate kernel.  Every other run builds one matrix of at most 64 x 64 over
 qubits lo..hi, applied in place by matmuls over slices of the state.
@@ -23,9 +25,10 @@ Capacity: a state holds 2**n complex128 amplitudes, 16 * 2**n bytes, which
 is 1 GiB at ``MAX_QUBITS`` = 26.  ``apply_gates`` holds at most 3 state-size
 arrays at once: the caller's state, one working copy, and at most one phase
 table of a diagonal run (never more entries than the state).  On top of
-those it allocates only 256 KiB slices (spans and projection sums) and the
-swap buffer of a CNOT or MCX spanning more than 4 qubits, at most a quarter
-of the state.
+those it allocates only 256 KiB slices (spans and projection sums), the
+256 KiB of buffers numpy's ufunc loop takes for a product over a strided
+view with a short contiguous axis, and the swap buffer of a CNOT or MCX
+spanning more than 4 qubits, at most a quarter of the state.
 """
 
 from __future__ import annotations
@@ -291,8 +294,13 @@ def _relabel(gate: Gate, label: dict[int, int]) -> Gate:
 def _apply_diagonal_run(amps: np.ndarray, run: list[Gate], n_qubits: int) -> None:
     """Multiply in the phase table of a run of diagonal gates, in place.
 
-    The table covers the k qubits the run touches: the run's gates, relabeled
-    to 0..k-1, act on 2**k ones, and the table then scales the
+    The table covers the k qubits the run touches, relabeled to 0..k-1, and
+    is built by doubling: from ``table[0] = 1``, level b copies
+    ``table[:2**b]`` into ``table[2**b:2**(b+1)]`` and then applies the gates
+    whose highest relabeled qubit is b to ``table[:2**(b+1)]``, read as a
+    (b+1)-qubit state.  Diagonal gates commute, so this is the table of the
+    whole run, and each gate touches 2**(top+1) entries instead of 2**k.  The
+    table is the run's only allocation.  It then scales the
     one-axis-per-qubit view of the state in one broadcast.  When the run
     touches qubit 0 the table also covers every qubit below
     ``_DIAGONAL_LOW``, so the broadcast's innermost loop runs over at least
@@ -304,9 +312,17 @@ def _apply_diagonal_run(amps: np.ndarray, run: list[Gate], n_qubits: int) -> Non
         qubits.update(range(min(n_qubits, _DIAGONAL_LOW)))
     qubits = sorted(qubits)
     label = {q: i for i, q in enumerate(qubits)}
-    table = np.ones(1 << len(qubits), dtype=np.complex128)
+    by_top: list[list[Gate]] = [[] for _ in qubits]
     for gate in run:
-        _apply_inplace(table, _relabel(gate, label), len(qubits))
+        relabeled = _relabel(gate, label)
+        by_top[max(relabeled.qubits)].append(relabeled)
+    table = np.empty(1 << len(qubits), dtype=np.complex128)
+    table[0] = 1.0
+    for b, gates in enumerate(by_top):
+        size = 1 << b
+        table[size : 2 * size] = table[:size]
+        for gate in gates:
+            _apply_inplace(table[: 2 * size], gate, b + 1)
     shape = [1] * n_qubits
     for q in qubits:
         shape[n_qubits - 1 - q] = 2

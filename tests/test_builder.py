@@ -14,6 +14,7 @@ from zenopt import (
     FunctionalCircuit,
     InputError,
     LayerParams,
+    LayoutError,
     Multipliers,
     QAOA,
     Statevector,
@@ -37,8 +38,9 @@ from zenopt import (
     qubo_values,
     run_circuit,
 )
-from zenopt.builder import HybridCircuit, ancilla_mass, build_layout, compiled_model
-from zenopt.problem import IsingCoeffs, constraint_feasible_indices
+from zenopt.arithmetic import register_width
+from zenopt.builder import CircuitLayout, HybridCircuit, ancilla_mass, build_layout, compiled_model
+from zenopt.problem import REP_KINDS, IsingCoeffs, constraint_feasible_indices
 from zenopt.statevector import gate_h, gate_rx
 
 
@@ -296,6 +298,85 @@ def test_prepare_initial_state_tight_bound():
     state = prepare_initial_state(problem, (ZENO,), circuit.layout)
     marginal = marginal_probabilities(state, range(2))
     assert np.allclose(marginal, [1.0, 0.0, 0.0, 0.0])
+
+
+def _prep_folded(problem, assignment, layout):
+    """The Hadamard wall and each ZENO flag circuit (compute, project,
+    uncompute) folded one gate at a time."""
+    wall = [gate_h(q) for q in (*layout.decision, *layout.slack)]
+    state = functools.reduce(apply_gate, wall, new_state(layout.n_qubits))
+    for ci, kind in enumerate(assignment):
+        if kind != ZENO:
+            continue
+        con, reg = problem.constraints[ci], layout.registers[ci]
+        gates, positions = build_zeno_layer(con.coeffs, con.bound, reg, 0.0, 1, ())
+        for position in positions:  # one site, or none for a vacuous bound
+            state = functools.reduce(apply_gate, gates[:position], state)
+            state = project_qubit(state, reg.flag_qubit, 0)
+            state = functools.reduce(apply_gate, gates[position:], state)
+    return state
+
+
+def _prep_cases():
+    """Seeded random problems of 2-6 variables and 1-3 constraints with every
+    kind, bound-0 and vacuous ZENO bounds, and two cargo assignments."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(12):
+        n = int(rng.integers(2, 7))
+        constraints = []
+        for c in range(int(rng.integers(1, 4))):
+            coeffs = [int(v) for v in rng.integers(0, 3, n)]
+            coeffs[int(rng.integers(n))] = int(rng.integers(1, 3))
+            bound = int(rng.integers(0, sum(coeffs) + 1))
+            constraints.append(Constraint(tuple(coeffs), bound, f"c{c}"))
+        assignment = tuple(str(k) for k in rng.choice(REP_KINDS, len(constraints)))
+        cases.append((ConstrainedBinaryProblem(n, (1,) * n, tuple(constraints)), assignment))
+    coeffs = (1, 2, 0, 1)
+    vacuous = 1 << register_width(coeffs)
+    for bounds in [(0,), (vacuous,), (0, vacuous), (2, 0)]:
+        constraints = tuple(Constraint(coeffs[i:] + coeffs[:i], b) for i, b in enumerate(bounds))
+        cases.append((ConstrainedBinaryProblem(4, (1,) * 4, constraints), (ZENO,) * len(bounds)))
+    cases += [(cargo(), WEIGHT_ZENO), (cargo(), parse_assignment("DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA"))]
+    return cases
+
+
+def test_prepare_initial_state_matches_gates_folded():
+    for problem, assignment in _prep_cases():
+        layout = compiled_model(problem, assignment, Multipliers.uniform(problem.n_constraints, 2.0)).layout
+        state = prepare_initial_state(problem, assignment, layout)
+        folded = _prep_folded(problem, assignment, layout)
+        gap = np.max(np.abs(state.amplitudes - folded.amplitudes))
+        assert gap <= 1e-12, (problem, assignment, gap)
+        assert state.survival_prob == 1.0
+
+
+@pytest.mark.parametrize("assignment", [ALL_QAOA, WEIGHT_DEPHASE])
+def test_prepare_initial_state_without_zeno_allocates_one_state(assignment):
+    layout = compiled_model(cargo(), assignment, MULT).layout
+    tracemalloc.start()
+    try:
+        state = prepare_initial_state(cargo(), assignment, layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
+
+
+def test_prepare_initial_state_capacity_and_layout_errors():
+    problem = cargo()
+    huge = CircuitLayout(27, tuple(range(6)), tuple(range(6, 12)), {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"n_qubits must be in \[1, 26\], got 27"):
+            prepare_initial_state(problem, ALL_QAOA, huge)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    for decision, slack in [(tuple(range(1, 7)), ()), (tuple(range(6)), (7, 8)), ((1, 0, 2, 3, 4, 5), ())]:
+        with pytest.raises(LayoutError, match=r"^decision and slack qubits must be 0\.\.[57], got "):
+            prepare_initial_state(problem, ALL_QAOA, CircuitLayout(10, decision, slack, {}))
 
 
 def test_ancilla_hygiene_full_circuit():

@@ -418,17 +418,44 @@ def _mixed_cases(n, rng):
     return cases
 
 
+def _diagonal_runs(n, rng):
+    """Named diagonal runs: RZ, RZZ on all pairs, CPHASE on 3 to all qubits
+    and phase gates, over every qubit and over qubits 1..n-1 (no
+    ``_DIAGONAL_LOW`` padding) or a gapped subset of them, each listed
+    top-qubit-first and bottom-first."""
+
+    def angle():
+        return float(rng.uniform(-np.pi, np.pi))
+
+    supports = {"with-qubit0": list(range(n))}
+    if n >= 2:
+        supports["without-qubit0"] = list(range(1, n))
+        supports["gapped"] = sorted(int(q) for q in rng.choice(range(1, n), min(3, n - 1), replace=False))
+    cases = {}
+    for name, qubits in supports.items():
+        gates = [gate_rz(q, angle()) for q in qubits]
+        gates += [gate_rzz(a, b, angle()) for i, a in enumerate(qubits) for b in qubits[i + 1 :]]
+        gates += [gate_cphase(rng.permutation(qubits)[:k], angle()) for k in range(3, len(qubits) + 1)]
+        gates += [gate_phase(q, angle()) for q in qubits]
+        gates = [gates[i] for i in rng.permutation(len(gates))]  # ties on one top qubit in random order
+        cases[f"{name}-top-first"] = sorted(gates, key=lambda g: -max(g.qubits))
+        cases[f"{name}-bottom-first"] = sorted(gates, key=lambda g: max(g.qubits))
+    return cases
+
+
 # 1-9 qubits cross the 4- and 6-qubit span limits; 16 qubits split every
 # span's matmuls into several slices.  The mixed cases put 4-, 5- and 6-qubit
 # QFT ladders at the bottom, middle and top of the register, an 8-qubit RX
 # wall right after a ladder, comparators (one over a 5-qubit register with
 # its flag on the top qubit), a lone 5-qubit MCX and CPHASE between runs, a
 # CNOT from qubit 0 to the top qubit inside a run, and diagonal runs on
-# qubit 0.
+# qubit 0.  The diagonal runs build their phase tables by doubling, with
+# gates listed top-qubit-first and bottom-first.
 @pytest.mark.parametrize("n", [*range(1, 10), 16])
 def test_fused_runs_match_gate_by_gate(n):
     rng = np.random.default_rng(300 + n)
     cases = {f"random-{i}": _fusion_cases(n, rng) for i in range(4)} | _mixed_cases(n, rng)
+    cases |= _diagonal_runs(n, rng)
     for name, gates in cases.items():
         state = _random_state(n, rng)
         fused = apply_gates(state, gates)
@@ -548,3 +575,26 @@ def test_runs_follow_the_span_rule(n):
 def test_statevector_rejects_wrong_amplitude_count(n_qubits, amplitudes):
     with pytest.raises(ShapeError, match=f"{n_qubits}-qubit state"):
         Statevector(n_qubits, amplitudes)
+
+
+# numpy's buffered ufunc loop allocates two buffers of 8192 elements for an
+# in-place product over a strided view with a short contiguous axis, as the
+# kernels' views on low qubits have: 256 KiB whatever the state's size.
+_UFUNC_BUFFERS = 2 * 8192 * 16
+
+
+def test_diagonal_run_allocates_one_table():
+    """A diagonal run over every qubit holds the working copy and its one
+    complex table: no real-phase, ``1j*phase`` or ``exp`` temporaries (a
+    table built that way peaks above 3 states)."""
+    n = 16
+    gates = [gate_rz(q, 0.1 + 0.01 * q) for q in range(n)]
+    gates += [gate_rzz(a, b, 0.3 - 0.001 * (a + n * b)) for a in range(n) for b in range(a + 1, n)]
+    state = new_state(n)
+    tracemalloc.start()
+    try:
+        apply_gates(state, gates)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * state.amplitudes.nbytes + _UFUNC_BUFFERS, peak / state.amplitudes.nbytes
