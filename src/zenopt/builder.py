@@ -40,6 +40,7 @@ from .problem import (
     Multipliers,
     check_kinds,
     compile_qubo,
+    feasible_mask,
     qubo_to_ising,
     qubo_values,
 )
@@ -331,6 +332,15 @@ def build_circuit(
     return HybridCircuit(layout, gates, projections, ordering, 2 * params.p_layers)
 
 
+def write_initial_block(problem: ConstrainedBinaryProblem, assignment, block: np.ndarray) -> None:
+    """Both backends' initial state: overwrite a (2^n_slack, 2^n_vars) ``block``
+    with the uniform superposition over the decision states that satisfy every
+    ZENO constraint, for every slack value, as one broadcast row.  x = 0 always
+    satisfies them (coefficients and bounds are >= 0), so it is never empty."""
+    feasible = feasible_mask(problem, [ci for ci, kind in enumerate(assignment) if kind == ZENO])
+    block[...] = np.where(feasible, 1.0 / np.sqrt(feasible.sum() * block.shape[0]), 0.0)
+
+
 def prepare_initial_state(
     problem: ConstrainedBinaryProblem,
     assignment,
@@ -338,16 +348,14 @@ def prepare_initial_state(
 ) -> Statevector:
     """Uniform superposition post-selected on the Zeno-assigned constraints.
 
-    The Hadamard wall on the k decision and slack qubits is written directly:
-    ``build_layout`` puts them on qubits 0..k-1 (any other layout raises
-    LayoutError), so H^k|0...0> sets the first 2**k amplitudes to 2**(-k/2)
-    of a state from ``new_state``, which raises CapacityError before it
-    allocates.  Each ZENO constraint's flag is then computed, projected onto
-    0, and uncomputed in one ``apply_gates`` call, leaving an even
-    superposition over its feasible subspace with clean ancillas; with no
-    such flag no gate runs.  The pre-run post-selection is state
-    preparation, so the returned state's survival_prob is 1: survival then
-    tracks only the circuit's own mid-circuit projections.
+    Written directly, with no gate: ``build_layout`` puts the k decision and
+    slack qubits on qubits 0..k-1 (any other layout raises LayoutError), so
+    the first 2**k amplitudes of a state from ``new_state`` (which raises
+    CapacityError before it allocates) read as the (2**n_slack, 2**n_vars)
+    block ``write_initial_block`` fills, with clean ancillas.  This equals the
+    Hadamard wall followed by each ZENO flag circuit computed, projected onto
+    0 and uncomputed.  The pre-run post-selection is state preparation, so
+    survival_prob is 1 and then tracks only the circuit's own projections.
     """
     k = len(layout.decision) + len(layout.slack)
     if (*layout.decision, *layout.slack) != tuple(range(k)):
@@ -355,23 +363,9 @@ def prepare_initial_state(
             f"decision and slack qubits must be 0..{k - 1}, got {layout.decision} and {layout.slack}"
         )
     state = new_state(layout.n_qubits)
-    state.amplitudes[: 1 << k] = 2.0 ** (-k / 2)
-    gates: list[Gate] = []
-    projections: list[tuple[int, Projection]] = []
-    for ci, kind in enumerate(assignment):
-        if kind != ZENO:
-            continue
-        con = problem.constraints[ci]
-        reg = layout.registers[ci]
-        forward = _flag_circuit(con.coeffs, con.bound, reg)
-        if not forward:
-            continue  # vacuous constraint keeps the full superposition
-        gates.extend(forward)
-        projections.append((len(gates), Projection(reg.flag_qubit, 0)))
-        gates.extend(build_uncompute(forward))
-    if not gates:
-        return state
-    return Statevector(state.n_qubits, apply_gates(state, gates, projections).amplitudes, 1.0)
+    block = state.amplitudes[: 1 << k].reshape(1 << len(layout.slack), 1 << len(layout.decision))
+    write_initial_block(problem, assignment, block)
+    return state
 
 
 def run_circuit(circuit: HybridCircuit, state: Statevector) -> Statevector:

@@ -14,7 +14,8 @@ order, as
 - mixer wall: RX(beta) on the builder's mixer targets.
 
 The initial state is uniform over the decision states that satisfy every
-ZENO constraint, for every slack value.  No circuit is built per run: a
+ZENO constraint, for every slack value; one rule, ``write_initial_block``,
+writes it for both backends.  No circuit is built per run: a
 ``FunctionalCircuit`` takes its blocks' excess rows and Zeno masks from the
 problem's cached ``constraint_excess`` table and runs any angles.  The gate
 backend stays the reference; its ancilla-zero slice is what these amplitudes
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets
+from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets, write_initial_block
 from .errors import EmptySubspaceError
 from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess
 from .statevector import ANNIHILATION_PROB, Statevector, _apply_inplace, gate_rx
@@ -67,9 +68,8 @@ class FunctionalCircuit:
             projects = assignment[ci] == ZENO and not keep.all()
             name = f"{ci} ({problem.constraints[ci].label!r})"
             self.blocks.append(_Block(assignment[ci], name, excess[ci], keep if projects else None))
-        feasible = ~excess[[ci for ci, kind in enumerate(assignment) if kind == ZENO]].any(axis=0)
-        self.initial = np.zeros(self.centered.shape, dtype=np.complex128)
-        self.initial[:, feasible] = 1.0 / np.sqrt(feasible.sum() * self.initial.shape[0])
+        self.initial = np.empty(self.centered.shape, dtype=np.complex128)
+        write_initial_block(problem, assignment, self.initial)
 
     def _rx_wall(self, psi: np.ndarray, qubits, angle: float) -> None:
         for q in qubits:

@@ -15,7 +15,6 @@ import csv
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -138,6 +137,7 @@ def run_family_sweep(
         for i, assignment in enumerate(enumerate_assignments(problem.n_constraints))
     ]
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it slows every import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_family_row, jobs, chunksize=8))
     return [_family_row(job) for job in jobs]

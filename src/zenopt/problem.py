@@ -275,9 +275,19 @@ def constraint_excess(problem: ConstrainedBinaryProblem) -> np.ndarray:
     return table
 
 
+def feasible_mask(problem: ConstrainedBinaryProblem, which) -> np.ndarray:
+    """Boolean mask over the 2^n_vars decision states that satisfy the selected
+    constraints (all True when none is); copies no ``constraint_excess`` row."""
+    excess = constraint_excess(problem)
+    mask = np.ones(excess.shape[1], dtype=bool)
+    for ci in which:
+        mask &= excess[ci] == 0
+    return mask
+
+
 def solution_masks(problem: ConstrainedBinaryProblem) -> tuple[np.ndarray, np.ndarray]:
     """Boolean (feasible, optimal) masks over the 2^n_vars decision states."""
-    feasible = ~constraint_excess(problem).any(axis=0)
+    feasible = feasible_mask(problem, range(problem.n_constraints))
     values = subset_sums(problem.objective)
     return feasible, feasible & (values == values[feasible].max())
 
@@ -291,11 +301,6 @@ def brute_force_solve(problem: ConstrainedBinaryProblem) -> BruteForceResult:
     feasible, optimal = (np.flatnonzero(mask).tolist() for mask in solution_masks(problem))
     opt_value = int(sum(c for v, c in enumerate(problem.objective) if optimal[0] >> v & 1))
     return BruteForceResult(opt_value, frozenset(optimal), frozenset(feasible), problem.n_vars)
-
-
-def constraint_feasible_indices(problem: ConstrainedBinaryProblem, which: list[int]) -> frozenset[int]:
-    """Decision states satisfying the selected constraints (ignoring the rest)."""
-    return frozenset(np.flatnonzero(~constraint_excess(problem)[list(which)].any(axis=0)).tolist())
 
 
 def problem_to_json(problem: ConstrainedBinaryProblem) -> str:

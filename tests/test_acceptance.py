@@ -44,7 +44,7 @@ from zenopt import (
     zeno_limit_error,
 )
 from zenopt.builder import ancilla_mass, compiled_model
-from zenopt.problem import constraint_feasible_indices
+from zenopt.problem import feasible_mask
 from zenopt.statevector import gate_h
 
 CARGO = cargo_instance([1, 2, 3], 2, 3)
@@ -114,7 +114,7 @@ def test_criterion_03_zeno_preselection_and_retention():
     state = prepare_initial_state(CARGO, WEIGHT_ZENO, circuit.layout)
     marginal = marginal_probabilities(state, range(6))
     support = frozenset(np.nonzero(marginal > 1e-12)[0].tolist())
-    weight_feasible = constraint_feasible_indices(CARGO, [0])
+    weight_feasible = frozenset(np.flatnonzero(feasible_mask(CARGO, [0])).tolist())
     support_ok = support == weight_feasible
 
     out = run_circuit(circuit, state)

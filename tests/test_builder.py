@@ -40,7 +40,7 @@ from zenopt import (
 )
 from zenopt.arithmetic import register_width
 from zenopt.builder import CircuitLayout, HybridCircuit, ancilla_mass, build_layout, compiled_model
-from zenopt.problem import REP_KINDS, IsingCoeffs, constraint_feasible_indices
+from zenopt.problem import REP_KINDS, IsingCoeffs, feasible_mask
 from zenopt.statevector import gate_h, gate_rx
 
 
@@ -282,7 +282,7 @@ def test_prepare_initial_state_weight_zeno_support():
     state = prepare_initial_state(problem, WEIGHT_ZENO, circuit.layout)
     marginal = marginal_probabilities(state, range(6))
     support = set(np.nonzero(marginal > 1e-12)[0])
-    assert support == set(constraint_feasible_indices(problem, [0]))
+    assert support == set(np.flatnonzero(feasible_mask(problem, [0])))
     inside = marginal[sorted(support)]
     assert np.allclose(inside, inside[0])  # equal amplitudes on the support
     assert abs(state.survival_prob - 1.0) < 1e-12  # preparation resets survival
@@ -343,16 +343,31 @@ def _prep_cases():
 
 def test_prepare_initial_state_matches_gates_folded():
     for problem, assignment in _prep_cases():
-        layout = compiled_model(problem, assignment, Multipliers.uniform(problem.n_constraints, 2.0)).layout
+        mult = Multipliers.uniform(problem.n_constraints, 2.0)
+        layout = compiled_model(problem, assignment, mult).layout
         state = prepare_initial_state(problem, assignment, layout)
         folded = _prep_folded(problem, assignment, layout)
         gap = np.max(np.abs(state.amplitudes - folded.amplitudes))
         assert gap <= 1e-12, (problem, assignment, gap)
         assert state.survival_prob == 1.0
+        # The decision-and-slack block is the functional backend's initial
+        # state, bit for bit; every ancilla branch is exactly 0.
+        initial = FunctionalCircuit(problem, assignment, mult).initial.reshape(-1)
+        assert np.array_equal(state.amplitudes[: len(initial)], initial), (problem, assignment)
+        assert not state.amplitudes[len(initial) :].any()
 
 
-@pytest.mark.parametrize("assignment", [ALL_QAOA, WEIGHT_DEPHASE])
-def test_prepare_initial_state_without_zeno_allocates_one_state(assignment):
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        ALL_QAOA,
+        WEIGHT_DEPHASE,
+        WEIGHT_ZENO,
+        (ZENO,) * 6,
+        parse_assignment("DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA"),
+    ],
+)
+def test_prepare_initial_state_allocates_one_state(assignment):
     layout = compiled_model(cargo(), assignment, MULT).layout
     tracemalloc.start()
     try:

@@ -34,7 +34,7 @@ from zenopt.problem import (
     ZENO,
     Qubo,
     constraint_excess,
-    constraint_feasible_indices,
+    feasible_mask,
     subset_sums,
 )
 
@@ -234,8 +234,10 @@ def test_constraint_excess_matches_per_state_sums(seed):
         assert objective[x] == sum(c * b for c, b in zip(problem.objective, bits))
         for ci, con in enumerate(problem.constraints):
             assert table[ci, x] == max(0, sum(c * b for c, b in zip(con.coeffs, bits)) - con.bound)
+    assert np.array_equal(feasible_mask(problem, range(problem.n_constraints)), ~table.any(axis=0))
+    assert np.array_equal(feasible_mask(problem, range(1, problem.n_constraints)), ~table[1:].any(axis=0))
+    assert feasible_mask(problem, []).all()
     result = brute_force_solve(problem)
-    assert result.feasible_indices == constraint_feasible_indices(problem, range(problem.n_constraints))
     assert result.feasible_indices == frozenset(np.flatnonzero(~table.any(axis=0)).tolist())
 
 
