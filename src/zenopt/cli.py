@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -58,6 +59,18 @@ def _comma_list(convert):
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a comma list of {convert.__name__} values"
             ) from None
+
+    return parse
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer >= ``low``: anything else is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if int(text) >= low:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
 
     return parse
 
@@ -169,15 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add_command("solve", help="optimize one assignment, dump the trace")
     _add_shared(sub, "problem", "assign", "lambda", "alpha", "p", "q", "ordering", "seed", "iters")
     sub.add_argument("--out", default=None, help="trace CSV path")
-    sub.add_argument("--shots", type=int, default=0,
-                     help="re-estimate final metrics from sampled shots")
+    sub.add_argument("--shots", type=_int_at_least(0), default=0,
+                     help="re-estimate final metrics from sampled shots (0: no sampling)")
     sub.set_defaults(func=_cmd_solve)
 
     sub = add_command("sweep-family", help="optimize all 3^n assignments")
     _add_shared(sub, "problem", "lambda", "alpha", "p", "q", "ordering", "seed", "iters")
     sub.set_defaults(iters=SWEEP_CONFIG.max_iters)
     sub.add_argument("--out", required=True)
-    sub.add_argument("--workers", type=int, default=None, help="process pool size")
+    sub.add_argument("--workers", type=_int_at_least(1), default=None, help="process pool size")
     sub.set_defaults(func=_cmd_sweep_family)
 
     sub = add_command("sweep-lagrange", help="optimize across multiplier values")
@@ -227,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ZenoptError as exc:

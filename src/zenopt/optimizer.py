@@ -3,7 +3,9 @@ and search the (gamma, beta) angles with a Nelder-Mead simplex.
 
 Evaluations run on the functional backend (``functional.py``) and are exact
 (amplitudes, no shot noise), so the same seed and config always reproduce
-the same trace bit for bit.
+the same trace bit for bit.  One probability pass gives both the expected
+cost and the decision marginal.  The search is a generator that yields each
+point and is sent its result: it owns no evaluator; ``optimize`` drives it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .builder import NATURAL, LayerParams
 from .errors import EmptySubspaceError, InputError
 from .functional import FunctionalCircuit
 from .problem import ConstrainedBinaryProblem, Multipliers, solution_masks
-from .statevector import marginal_probabilities
 
 
 EXIT_THRESHOLD = 1e-9  # cost change below which the search stops; see optimize
@@ -86,11 +87,13 @@ class _Evaluator:
         p = len(theta) // 2
         return LayerParams(tuple(theta[:p]), tuple(theta[p:]), self.q_measurements)
 
-    def evaluate(self, theta: np.ndarray) -> EvalResult:
-        state = self.circuit.run(self.params(theta))
-        decision_probs = marginal_probabilities(state, range(self.n_vars))
+    def evaluate(self, params: LayerParams) -> EvalResult:
+        state = self.circuit.run(params)
+        probs = state.probabilities()
+        # The decision bits are the low qubits: their marginal sums the rest.
+        decision_probs = probs.reshape(-1, 1 << self.n_vars).sum(axis=0)
         return EvalResult(
-            expected_cost=float(state.probabilities() @ self.circuit.cost_table),
+            expected_cost=float(probs @ self.circuit.cost_table),
             p_feasible=float(decision_probs[self.feasible].sum()),
             p_optimal=float(decision_probs[self.optimal].sum()),
             survival_prob=state.survival_prob,
@@ -99,7 +102,7 @@ class _Evaluator:
     def __call__(self, theta: np.ndarray) -> EvalResult:
         """``evaluate`` for the search: an annihilated point has infinite cost."""
         try:
-            return self.evaluate(theta)
+            return self.evaluate(self.params(theta))
         except EmptySubspaceError:
             return _ANNIHILATED
 
@@ -118,12 +121,7 @@ def evaluate_params(
     Raises EmptySubspaceError when a Zeno projection annihilates the state.
     """
     evaluator = _Evaluator(problem, assignment, mult, ordering, params.q_measurements)
-    return evaluator.evaluate(np.array(params.gamma + params.beta))
-
-
-def _record(i: int, ev: _Evaluator, theta: np.ndarray, res: EvalResult) -> TraceRecord:
-    p = ev.params(theta)
-    return TraceRecord(i, p.gamma, p.beta, *res)
+    return evaluator.evaluate(params)
 
 
 def _initial_steps(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -137,71 +135,48 @@ def _initial_steps(rng: np.random.Generator, d: int) -> np.ndarray:
     return steps
 
 
-def _search_nelder_mead(ev, theta0, config, trace_out) -> tuple[np.ndarray, EvalResult]:
-    """Simplex search; one trace record per accepted iterate."""
-    rng = np.random.default_rng(config.seed)
-    d = len(theta0)
-    vertices = [np.asarray(theta0, dtype=float)]
-    steps = _initial_steps(rng, d)
-    for i in range(d):
-        v = vertices[0].copy()
-        v[i] += steps[i]
-        vertices.append(v)
+def _converged(accepted: list[tuple[np.ndarray, EvalResult]]) -> bool:
+    """The last three accepted costs each lie within EXIT_THRESHOLD of the one before."""
+    c = [res.expected_cost for _, res in accepted[-3:]]
+    return len(c) == 3 and abs(c[2] - c[1]) < EXIT_THRESHOLD and abs(c[1] - c[0]) < EXIT_THRESHOLD
 
-    evals: list[tuple[np.ndarray, EvalResult]] = []
-    iteration = 0
 
-    def note(theta, res):
-        nonlocal iteration
-        iteration += 1
-        trace_out.append(_record(iteration, ev, theta, res))
+def _nelder_mead(theta0: np.ndarray, config: OptimizerConfig, accepted: list):
+    """Simplex search as a generator: yields each point to evaluate and is
+    sent its EvalResult.  Appends each accepted iterate ``(theta, result)``
+    to ``accepted`` and returns the best vertex of the last simplex."""
+    steps = _initial_steps(np.random.default_rng(config.seed), len(theta0))
+    for v in [theta0, *(theta0 + np.diag(steps))][: config.max_iters]:
+        accepted.append((v, (yield v)))
+    simplex = list(accepted)
 
-    def converged() -> bool:
-        if len(trace_out) < 3:
-            return False
-        c0, c1, c2 = (r.expected_cost for r in trace_out[-3:])
-        return abs(c2 - c1) < EXIT_THRESHOLD and abs(c1 - c0) < EXIT_THRESHOLD
-
-    # The first iterations evaluate the initial simplex, starting from the
-    # configured initial point.
-    for v in vertices:
-        if iteration >= config.max_iters:
-            break
-        res = ev(v)
-        evals.append((v, res))
-        note(v, res)
-
-    while iteration < config.max_iters and not converged():
-        evals.sort(key=lambda t: t[1].expected_cost)
-        best, worst = evals[0], evals[-1]
-        second_worst = evals[-2]
-        centroid = np.mean([v for v, _ in evals[:-1]], axis=0)
-        reflected = centroid + (centroid - worst[0])
-        fr = ev(reflected)
-        if fr.expected_cost < best[1].expected_cost:
-            expanded = centroid + 2.0 * (centroid - worst[0])
-            fe = ev(expanded)
+    while len(accepted) < config.max_iters and not _converged(accepted):
+        simplex.sort(key=lambda t: t[1].expected_cost)
+        (best, f_best), (worst, f_worst) = simplex[0], simplex[-1]
+        centroid = np.mean([v for v, _ in simplex[:-1]], axis=0)
+        reflected = centroid + (centroid - worst)
+        fr = yield reflected
+        if fr.expected_cost < f_best.expected_cost:
+            expanded = centroid + 2.0 * (centroid - worst)
+            fe = yield expanded
             new = (expanded, fe) if fe.expected_cost < fr.expected_cost else (reflected, fr)
-        elif fr.expected_cost < second_worst[1].expected_cost:
+        elif fr.expected_cost < simplex[-2][1].expected_cost:
             new = (reflected, fr)
         else:
-            contracted = centroid + 0.5 * (worst[0] - centroid)
-            fc = ev(contracted)
-            if fc.expected_cost < worst[1].expected_cost:
+            contracted = centroid + 0.5 * (worst - centroid)
+            fc = yield contracted
+            if fc.expected_cost < f_worst.expected_cost:
                 new = (contracted, fc)
             else:
                 # Shrink toward the best vertex.
-                evals = [best] + [
-                    (sv, ev(sv))
-                    for sv in (best[0] + 0.5 * (v - best[0]) for v, _ in evals[1:])
-                ]
-                accepted = min(evals[1:], key=lambda t: t[1].expected_cost)
-                note(*accepted)
+                for i in range(1, len(simplex)):
+                    v = best + 0.5 * (simplex[i][0] - best)
+                    simplex[i] = (v, (yield v))
+                accepted.append(min(simplex[1:], key=lambda t: t[1].expected_cost))
                 continue
-        evals[-1] = new
-        note(*new)
-    best = min(evals, key=lambda t: t[1].expected_cost)
-    return best
+        simplex[-1] = new
+        accepted.append(new)
+    return min(simplex, key=lambda t: t[1].expected_cost)
 
 
 def optimize(
@@ -213,21 +188,32 @@ def optimize(
 ) -> OptimizationTrace:
     """Nelder-Mead minimization of the expected compiled cost.
 
-    Records one trace entry per iteration: first the vertices of the initial
-    simplex, starting at ``config.init_params``; then, per simplex step, the
-    accepted iterate, i.e. the vertex that replaced the worst one or, after a
-    shrink, the best shrunk vertex.  Stops once the last three recorded
-    costs each lie within ``EXIT_THRESHOLD`` (1e-9) of the one before, or
-    after max_iters records.
+    The search is a generator that yields each point; ``optimize`` sends
+    back its ``EvalResult`` and builds the trace from the accepted iterates:
+    first the vertices of the initial simplex, starting at
+    ``config.init_params``; then, per simplex step, the vertex that replaced
+    the worst one or, after a shrink, the best shrunk vertex.  Stops once the
+    last three accepted costs each lie within ``EXIT_THRESHOLD`` (1e-9) of
+    the one before, or after max_iters records.
     ``best_params`` and ``final`` are the best vertex of the last simplex.
     A point at which a Zeno projection annihilates the state is evaluated as
     infinite cost with zero probabilities and survival.
     """
     start = time.perf_counter()
-    ev = _Evaluator(problem, assignment, mult, ordering, config.init_params.q_measurements)
-    theta0 = np.array(config.init_params.gamma + config.init_params.beta)
-    records: list[TraceRecord] = []
-    best_theta, best_res = _search_nelder_mead(ev, theta0, config, records)
+    init = config.init_params
+    ev = _Evaluator(problem, assignment, mult, ordering, init.q_measurements)
+    accepted: list[tuple[np.ndarray, EvalResult]] = []
+    search = _nelder_mead(np.array(init.gamma + init.beta, dtype=float), config, accepted)
+    point = next(search)
+    try:
+        while True:
+            point = search.send(ev(point))
+    except StopIteration as done:
+        best_theta, best_res = done.value
+    records = []
+    for i, (theta, res) in enumerate(accepted, 1):
+        params = ev.params(theta)
+        records.append(TraceRecord(i, params.gamma, params.beta, *res))
     return OptimizationTrace(
         records=records,
         best_params=ev.params(best_theta),

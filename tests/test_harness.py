@@ -323,6 +323,23 @@ def test_cli_rejects_malformed_measurement_count_list(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--assign", MIXED, "--shots", "-5"], "argument --shots: '-5' is not an integer >= 0"),
+        (["solve", "--assign", MIXED, "--shots", "x"], "argument --shots: 'x' is not an integer >= 0"),
+        (["sweep-family", "--workers", "-2"], "argument --workers: '-2' is not an integer >= 1"),
+        (["sweep-family", "--workers", "0"], "argument --workers: '0' is not an integer >= 1"),
+    ],
+)
+def test_cli_rejects_bad_counts_before_any_work(argv, message, cargo_json, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--problem", cargo_json, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_oversized_model_exits_3(tmp_path, capsys):
     # Bound 2^40 compiles to 44 QUBO bits; the check runs before any table exists.
     from zenopt import ConstrainedBinaryProblem, Constraint
@@ -355,3 +372,8 @@ def test_cli_exit_codes(tmp_path):
         ["solve", "--problem", str(path2), "--assign", "QAOA,BOGUS,QAOA"]
     )
     assert rc == 2
+
+    # a directory where a file is read or written is an input error
+    assert main(["solve", "--problem", str(tmp_path), "--assign", "QAOA"]) == 2
+    argv = ["solve", "--problem", str(path2), "--assign", "QAOA,QAOA,QAOA", "--iters", "2"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
