@@ -22,17 +22,24 @@ per-gate kernel.  Every other run builds one matrix of at most 64 x 64 over
 qubits lo..hi, applied in place by matmuls over slices of the state.
 
 Capacity: a state holds 2**n complex128 amplitudes, 16 * 2**n bytes, which
-is 1 GiB at ``MAX_QUBITS`` = 26.  ``apply_gates`` holds at most 3 state-size
-arrays at once: the caller's state, one working copy, and at most one phase
-table of a diagonal run (never more entries than the state).  On top of
-those it allocates only 256 KiB slices (spans and projection sums), the
-256 KiB of buffers numpy's ufunc loop takes for a product over a strided
-view with a short contiguous axis, and the swap buffer of a CNOT or MCX
-spanning more than 4 qubits, at most a quarter of the state.
+is 1 GiB at ``MAX_QUBITS`` = 26.  ``new_state`` and ``apply_gates``' working
+copy put their amplitudes in a private anonymous mapping: a page takes
+memory only once it is written, and the mapping is returned to the system
+as soon as its last view dies.  So a state prepared on 2**k amplitudes
+holds about 16 * 2**k bytes, and one gate evaluation (prepare, run,
+``marginal_probabilities``, ``Statevector.norm_error``) holds the caller's
+state plus one mapped working copy.  Beyond those it allocates at most one
+phase table of a diagonal run (never more entries than the state), 256 KiB
+slices (spans, projection sums and marginals), the 256 KiB of buffers
+numpy's ufunc loop takes for a product over a strided view with a short
+contiguous axis, and the swap buffer of a CNOT or MCX spanning more than 4
+qubits, at most a quarter of the state.  ``Statevector.probabilities``,
+``sample`` and ``expectation_diagonal`` still allocate arrays of state size.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -185,7 +192,12 @@ class Statevector:
         return np.abs(self.amplitudes) ** 2
 
     def norm_error(self) -> float:
-        return abs(float(np.sum(self.probabilities())) - 1.0)
+        return abs(float(np.vdot(self.amplitudes, self.amplitudes).real) - 1.0)
+
+
+def _mapped_zeros(n_qubits: int) -> np.ndarray:
+    """2**n zero amplitudes in a private anonymous mapping (see Capacity)."""
+    return np.frombuffer(mmap.mmap(-1, 16 << n_qubits, flags=mmap.MAP_PRIVATE), np.complex128)
 
 
 def new_state(n_qubits: int) -> Statevector:
@@ -199,9 +211,9 @@ def new_state(n_qubits: int) -> Statevector:
         raise CapacityError(
             f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}{size}: a state takes "
             f"16*2^n bytes, {(16 << MAX_QUBITS) >> 30} GiB at {MAX_QUBITS} qubits, and a "
-            "gate circuit holds up to 3 state-size arrays"
+            "gate circuit holds the state and one working copy"
         )
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps = _mapped_zeros(n_qubits)
     amps[0] = 1.0
     return Statevector(n_qubits, amps, 1.0)
 
@@ -461,7 +473,8 @@ def apply_gates(
     differently from the gates folded one by one, by about 1e-15.
     """
     n = state.n_qubits
-    amps = state.amplitudes.copy()
+    amps = _mapped_zeros(n)
+    amps[...] = state.amplitudes
     survival = state.survival_prob
     done = 0
     for position, projection in projections:
@@ -512,17 +525,32 @@ def expectation_diagonal(state: Statevector, value_fn: Callable) -> float:
 
 
 def marginal_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
-    """Probability of each joint outcome of ``qubits`` (qubits[0] = bit 0)."""
+    """Probability of each joint outcome of ``qubits`` (qubits[0] = bit 0).
+
+    Reduced over row slices of ``_SPAN_CHUNK`` amplitudes, so no state-size
+    temporary is made.  Each slice is squared into one buffer and summed over
+    the qubits below the slice width that are not kept; the sum is added to
+    the outputs that the slice's bits on the kept qubits above it select.
+    """
     qubits = list(qubits)
-    n = state.n_qubits
-    if len(set(qubits)) != len(qubits) or not all(0 <= q < n for q in qubits):
+    n, k = state.n_qubits, len(qubits)
+    if len(set(qubits)) != k or not all(0 <= q < n for q in qubits):
         raise ShapeError(f"marginal qubits {qubits} must be distinct and in [0, {n})")
-    probs = state.probabilities()
-    k = len(qubits)
-    if qubits == list(range(k)):  # contiguous low qubits reduce by reshape
-        return probs.reshape(-1, 1 << k).sum(axis=0)
-    # Move the kept axes to the front, qubits[0] last (fastest), sum the rest.
-    kept = [n - 1 - q for q in reversed(qubits)]
-    rest = [a for a in range(n) if a not in kept]
-    table = probs.reshape((2,) * n).transpose(kept + rest)
-    return table.sum(axis=tuple(range(k, n))).reshape(-1)
+    low = min(n, _SPAN_CHUNK.bit_length() - 1)
+    # Read a slice with qubit q on axis low-1-q and the output with bit j on
+    # axis k-1-j; a slice's sum keeps its low kept qubits, highest first.
+    summed = tuple(low - 1 - q for q in range(low) if q not in qubits)
+    kept_low = sorted((q for q in qubits if q < low), reverse=True)
+    order = [kept_low.index(q) for q in reversed(qubits) if q < low]
+    high = [(k - 1 - j, q - low) for j, q in enumerate(qubits) if q >= low]
+    marginal = np.zeros(1 << k)
+    out = marginal.reshape((2,) * k)
+    buf = np.empty(1 << low)
+    for i, row in enumerate(state.amplitudes.reshape(-1, 1 << low)):
+        np.abs(row, out=buf)
+        buf *= buf
+        idx: list = [slice(None)] * k
+        for axis, shift in high:
+            idx[axis] = (i >> shift) & 1
+        out[(*idx, ...)] += buf.reshape((2,) * low).sum(axis=summed).transpose(order)
+    return marginal

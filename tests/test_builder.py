@@ -1,6 +1,10 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,28 +371,20 @@ def test_prepare_initial_state_matches_gates_folded():
         parse_assignment("DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA"),
     ],
 )
-def test_prepare_initial_state_allocates_one_state(assignment):
+def test_prepare_initial_state_allocates_one_state(assignment, traced_peak):
     layout = compiled_model(cargo(), assignment, MULT).layout
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         state = prepare_initial_state(cargo(), assignment, layout)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
+    assert traced.peak <= 1.1 * state.amplitudes.nbytes, traced.peak / state.amplitudes.nbytes
 
 
-def test_prepare_initial_state_capacity_and_layout_errors():
+def test_prepare_initial_state_capacity_and_layout_errors(traced_peak):
     problem = cargo()
     huge = CircuitLayout(27, tuple(range(6)), tuple(range(6, 12)), {})
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         with pytest.raises(CapacityError, match=r"n_qubits must be in \[1, 26\], got 27"):
             prepare_initial_state(problem, ALL_QAOA, huge)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
+    assert traced.peak < 1 << 20, traced.peak
     for decision, slack in [(tuple(range(1, 7)), ()), (tuple(range(6)), (7, 8)), ((1, 0, 2, 3, 4, 5), ())]:
         with pytest.raises(LayoutError, match=r"^decision and slack qubits must be 0\.\.[57], got "):
             prepare_initial_state(problem, ALL_QAOA, CircuitLayout(10, decision, slack, {}))
@@ -416,31 +412,67 @@ def test_ancilla_mass_of_dirty_register_matches_bit_mask():
     assert ancilla_mass(new_state(3), build_layout(cargo(), ALL_QAOA, 3)) == 0.0
 
 
-def _run_circuit_peak(assignment: str, q_measurements: int) -> float:
-    """tracemalloc peak of ``run_circuit`` on a 16-qubit cargo circuit, in states."""
+def _run_circuit_peak(traced_peak, assignment: str, q_measurements: int) -> float:
+    """Peak bytes of ``run_circuit`` on a 16-qubit cargo circuit, in states."""
     assignment = parse_assignment(assignment)
     circuit = build_circuit(cargo(), assignment, MULT, LayerParams((0.1,), (0.2,), q_measurements))
     state = prepare_initial_state(cargo(), assignment, circuit.layout)
     assert circuit.layout.n_qubits == 16
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         run_circuit(circuit, state)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / state.amplitudes.nbytes
+    return traced.peak / state.amplitudes.nbytes
 
 
-# run_circuit allocates one working copy of the state; the rest is a phase
+# run_circuit maps one working copy of the state; the rest is a phase
 # table of the decision and slack qubits, slices and gate matrices.
-def test_run_circuit_peak_memory_within_state_copies():
-    peak = _run_circuit_peak("DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA", 2)
+def test_run_circuit_peak_memory_within_state_copies(traced_peak):
+    peak = _run_circuit_peak(traced_peak, "DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA", 2)
     assert peak <= 2.0, peak
 
 
-def test_run_circuit_peak_memory_weight_zeno():
-    peak = _run_circuit_peak("ZENO,QAOA,QAOA,QAOA,QAOA,QAOA", 3)
+def test_run_circuit_peak_memory_weight_zeno(traced_peak):
+    peak = _run_circuit_peak(traced_peak, "ZENO,QAOA,QAOA,QAOA,QAOA,QAOA", 3)
     assert peak <= 2.0, peak
+
+
+_RESIDENT_PROBE = """
+import resource
+from zenopt import LayerParams, Multipliers, QAOA, ZENO, cargo_instance, marginal_probabilities
+from zenopt.builder import ancilla_mass, build_circuit, prepare_initial_state, run_circuit
+
+problem = cargo_instance([1, 2, 3, 4], 2, 5)
+assignment = (ZENO,) + (QAOA,) * (problem.n_constraints - 1)
+mult = Multipliers.uniform(problem.n_constraints, 13)
+circuit = build_circuit(problem, assignment, mult, LayerParams((0.05, 0.1), (0.3, 0.6), 3))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for _ in range(2):
+    state = prepare_initial_state(problem, assignment, circuit.layout)
+    state = run_circuit(circuit, state)
+    marginal_probabilities(state, range(problem.n_vars))
+    ancilla_mass(state, circuit.layout)
+    state.norm_error()
+    del state
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(circuit.layout.n_qubits, (after - before) * 1024)
+"""
+
+
+def test_gate_evaluation_holds_one_resident_state():
+    """Two 20-qubit weight-ZENO evaluations, run in a fresh interpreter so
+    no earlier test has raised the high-water mark, grow the resident set
+    by the working copy and little more: the prepared state is resident
+    only where it is written, the marginals and the norm take slices, and
+    the first evaluation's states are unmapped before the second's."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RESIDENT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    n_qubits, growth = map(int, proc.stdout.split())
+    assert n_qubits == 20
+    assert growth <= 1.3 * (16 << n_qubits), growth / (16 << n_qubits)
 
 
 @pytest.mark.parametrize("assignment", ["DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA", "ZENO,QAOA,QAOA,QAOA,QAOA,QAOA"])

@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +331,49 @@ def test_projection_and_marginals_match_bit_extraction(n):
         assert np.max(np.abs(marginal_probabilities(state, qubits) - expected)) < 1e-12
 
 
+def _marginal_by_transpose(state, qubits):
+    """The whole-state marginal: reshape to one axis per qubit, move the
+    kept axes to the front (qubits[0] last), sum the rest."""
+    n, k = state.n_qubits, len(qubits)
+    kept = [n - 1 - q for q in reversed(qubits)]
+    rest = [a for a in range(n) if a not in kept]
+    table = (np.abs(state.amplitudes) ** 2).reshape((2,) * n).transpose(kept + rest)
+    return table.sum(axis=tuple(range(k, n))).reshape(-1)
+
+
+# From 15 qubits on a state spans several 2**14-amplitude slices, so kept
+# qubits fall below and above the slice width.
+@pytest.mark.parametrize("n", range(1, 19))
+def test_sliced_marginals_match_whole_state_formula(n):
+    rng = np.random.default_rng(400 + n)
+    state = _random_state(n, rng)
+    k = (n + 1) // 2
+    cases = {
+        "empty": [],
+        "full": list(range(n)),
+        "low": list(range(k)),
+        "high": list(range(n - k, n)),
+        "non-contiguous": list(range(0, n, 2)),
+        "permuted": [int(q) for q in rng.permutation(n)[:k]],
+        "full-permuted": [int(q) for q in rng.permutation(n)],
+    }
+    for name, qubits in cases.items():
+        sliced = marginal_probabilities(state, qubits)
+        whole = _marginal_by_transpose(state, qubits)
+        assert sliced.shape == (1 << len(qubits),), name
+        assert np.all(np.abs(sliced - whole) <= 1e-12 * whole), name
+
+
+def test_norm_error_of_mapped_state_matches_probability_sum():
+    rng = np.random.default_rng(17)
+    for n in (1, 5, 15):
+        base = apply_gates(new_state(n), [gate_h(q) for q in range(n)])
+        for scale in (1.0, 1.1):
+            state = apply_gates(Statevector(n, scale * base.amplitudes), _fusion_cases(n, rng))
+            old = abs(float(np.sum(state.probabilities())) - 1.0)
+            assert abs(state.norm_error() - old) <= 1e-14, (n, scale)
+
+
 def _fusion_cases(n, rng):
     """Gate list of alternating diagonal and single-qubit runs of 1, 2 and 9
     gates, with a CNOT or MCX between some of them, plus fixed runs: a
@@ -464,7 +506,7 @@ def test_fused_runs_match_gate_by_gate(n):
         assert fused.survival_prob == state.survival_prob
 
 
-def test_fused_runs_peak_memory_within_state_copies():
+def test_fused_runs_peak_memory_within_state_copies(traced_peak):
     n = 16
     ring = [gate_rzz(q, (q + 1) % n, 0.3 + 0.1 * q) for q in range(n)]
     wall = [gate_rx(q, 0.7) for q in range(n)]
@@ -474,13 +516,9 @@ def test_fused_runs_peak_memory_within_state_copies():
     ladders += [_ladder(range(lo, lo + 6), np.random.default_rng(lo)) for lo in (0, 5, n - 6)]
     state = new_state(n)
     for gates in [ring + wall, *ladders]:
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             apply_gates(state, gates)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * state.amplitudes.nbytes, peak / state.amplitudes.nbytes
+        assert traced.peak <= 4.5 * state.amplitudes.nbytes, traced.peak / state.amplitudes.nbytes
 
 
 def _projected_circuit(n, rng, outcome):
@@ -583,7 +621,7 @@ def test_statevector_rejects_wrong_amplitude_count(n_qubits, amplitudes):
 _UFUNC_BUFFERS = 2 * 8192 * 16
 
 
-def test_diagonal_run_allocates_one_table():
+def test_diagonal_run_allocates_one_table(traced_peak):
     """A diagonal run over every qubit holds the working copy and its one
     complex table: no real-phase, ``1j*phase`` or ``exp`` temporaries (a
     table built that way peaks above 3 states)."""
@@ -591,10 +629,6 @@ def test_diagonal_run_allocates_one_table():
     gates = [gate_rz(q, 0.1 + 0.01 * q) for q in range(n)]
     gates += [gate_rzz(a, b, 0.3 - 0.001 * (a + n * b)) for a in range(n) for b in range(a + 1, n)]
     state = new_state(n)
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         apply_gates(state, gates)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * state.amplitudes.nbytes + _UFUNC_BUFFERS, peak / state.amplitudes.nbytes
+    assert traced.peak <= 2.1 * state.amplitudes.nbytes + _UFUNC_BUFFERS, traced.peak / state.amplitudes.nbytes
