@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     ZenoptError,
 )
-from .functional import FunctionalCircuit
+from .functional import EvalResult, FunctionalCircuit
 from .harness import (
     HistogramResult,
     SweepResult,
@@ -50,7 +50,6 @@ from .harness import (
     zeno_demo_rows,
 )
 from .optimizer import (
-    EvalResult,
     OptimizationTrace,
     OptimizerConfig,
     TraceRecord,

@@ -18,6 +18,7 @@ searches run the same layers on the ancilla-free functional backend
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,6 +78,10 @@ class LayerParams:
     def __post_init__(self):
         if len(self.gamma) != len(self.beta) or not self.gamma:
             raise InputError("gamma and beta must have equal, positive length")
+        for name, angles in (("gamma", self.gamma), ("beta", self.beta)):
+            for angle in angles:
+                if not math.isfinite(angle):
+                    raise InputError(f"{name} must be finite, got {angle}")
         if self.q_measurements < 1:
             raise InputError("q_measurements must be >= 1")
 
@@ -120,7 +125,6 @@ class HybridCircuit:
     layout: CircuitLayout
     gates: list[Gate]
     projections: list[tuple[int, Projection]]  # (gates applied before, projection)
-    ordering: str
     n_parameters: int
 
 
@@ -329,7 +333,7 @@ def build_circuit(
                     (offset + pos, Projection(reg.flag_qubit, 0)) for pos in zpos
                 )
         gates.extend(gate_rx(q, beta) for q in mixer)
-    return HybridCircuit(layout, gates, projections, ordering, 2 * params.p_layers)
+    return HybridCircuit(layout, gates, projections, 2 * params.p_layers)
 
 
 def write_initial_block(problem: ConstrainedBinaryProblem, assignment, block: np.ndarray) -> None:

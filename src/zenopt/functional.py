@@ -20,18 +20,32 @@ writes it for both backends.  No circuit is built per run: a
 problem's cached ``constraint_excess`` table and runs any angles.  The gate
 backend stays the reference; its ancilla-zero slice is what these amplitudes
 are tested against.
+
+The run metrics are defined here, once: ``FunctionalCircuit.metrics`` reads
+the expected compiled cost and the probabilities that the decision bits are
+feasible or optimal off any distribution over the decision and slack bits,
+exact (``evaluate``, which the optimizer runs) or sampled
+(``harness.sampled_metrics``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets, write_initial_block
 from .errors import EmptySubspaceError
-from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess
+from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess, solution_masks
 from .statevector import ANNIHILATION_PROB, Statevector, _apply_inplace, gate_rx
+
+
+class EvalResult(NamedTuple):
+    expected_cost: float
+    p_feasible: float
+    p_optimal: float
+    survival_prob: float
 
 
 @dataclass(frozen=True)
@@ -60,6 +74,7 @@ class FunctionalCircuit:
         self.cost_table = model.cost_table  # QUBO value per decision+slack index
         self.centered = (model.cost_table - model.ising.identity).reshape(-1, 1 << self.n_vars)
         self.decision = model.layout.decision
+        self.feasible, self.optimal = solution_masks(problem)
         self.mixer = mixer_targets(assignment, model.layout)
         excess = constraint_excess(problem)
         self.blocks = []
@@ -105,3 +120,24 @@ class FunctionalCircuit:
                     survival *= prob
             self._rx_wall(psi, self.mixer, beta)
         return Statevector(self.n_bits, psi.reshape(-1), survival)
+
+    def metrics(self, probs: np.ndarray, survival: float) -> EvalResult:
+        """The run metrics of ``probs`` over the n_bits decision and slack bits.
+
+        ``probs`` holds exact probabilities or shot frequencies.  p_feasible
+        and p_optimal are measured against the brute-force feasible and
+        optimal sets of the original problem, never the QUBO.
+        """
+        # The decision bits are the low qubits: their marginal sums the rest.
+        decision_probs = probs.reshape(-1, 1 << self.n_vars).sum(axis=0)
+        return EvalResult(
+            expected_cost=float(probs @ self.cost_table),
+            p_feasible=float(decision_probs[self.feasible].sum()),
+            p_optimal=float(decision_probs[self.optimal].sum()),
+            survival_prob=survival,
+        )
+
+    def evaluate(self, params: LayerParams) -> EvalResult:
+        """``run`` then ``metrics``; raises EmptySubspaceError as ``run`` does."""
+        state = self.run(params)
+        return self.metrics(state.probabilities(), state.survival_prob)

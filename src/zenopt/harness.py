@@ -28,20 +28,9 @@ from .builder import (
     circuit_stats,
 )
 from .errors import CapacityError, InputError, ZenoptError
-from .functional import FunctionalCircuit
-from .optimizer import (
-    EvalResult,
-    OptimizationTrace,
-    OptimizerConfig,
-    evaluate_params,
-    optimize,
-)
-from .problem import (
-    REP_KINDS,
-    ConstrainedBinaryProblem,
-    Multipliers,
-    solution_masks,
-)
+from .functional import EvalResult, FunctionalCircuit
+from .optimizer import OptimizationTrace, OptimizerConfig, evaluate_params, optimize
+from .problem import REP_KINDS, ConstrainedBinaryProblem, Multipliers
 from .statevector import basis_string, marginal_probabilities, sample
 from .zeno import survival_analytic, survival_empirical, zeno_limit_error
 
@@ -156,12 +145,12 @@ def lagrange_sweep(
         raise InputError("lambda values must be positive")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise InputError("lambda values must be strictly ascending")
-    rows = []
-    for lam in lambdas:
-        mult = Multipliers.uniform(problem.n_constraints, lam)
-        trace = optimize(problem, tuple(assignment), mult, config, ordering)
-        rows.append((lam, trace.final))
-    return rows
+    # Built before any search, so a bad value fails at once.
+    mults = [Multipliers.uniform(problem.n_constraints, lam) for lam in lambdas]
+    return [
+        (lam, optimize(problem, tuple(assignment), mult, config, ordering).final)
+        for lam, mult in zip(lambdas, mults)
+    ]
 
 
 @dataclass(frozen=True)
@@ -241,20 +230,14 @@ def sampled_metrics(
     seed: int,
     ordering: str = NATURAL,
 ) -> EvalResult:
-    """Shot-based estimates of the run metrics for realism studies."""
+    """Shot-based estimates of the run metrics for realism studies: the
+    ``FunctionalCircuit.metrics`` of the shot frequencies."""
     circuit = FunctionalCircuit(problem, assignment, mult, ordering)
     state = circuit.run(params)
-    counts = sample(state, shots, seed)
-    dec_mask = (1 << problem.n_vars) - 1
-    feasible, optimal = solution_masks(problem)
-    cost = feas = opt = 0.0
-    for string, count in counts.items():
-        index = int(string, 2)
-        weight = count / shots
-        cost += weight * float(circuit.cost_table[index])
-        feas += weight * feasible[index & dec_mask]
-        opt += weight * optimal[index & dec_mask]
-    return EvalResult(cost, float(feas), float(opt), state.survival_prob)
+    freqs = np.zeros(state.dim)
+    for string, count in sample(state, shots, seed).items():
+        freqs[int(string, 2)] = count / shots
+    return circuit.metrics(freqs, state.survival_prob)
 
 
 def _write_csv(path: str, header, rows) -> None:

@@ -1,11 +1,11 @@
-"""Classical outer loop: evaluate circuit output against the compiled cost
-and search the (gamma, beta) angles with a Nelder-Mead simplex.
+"""Classical outer loop: search the (gamma, beta) angles with a Nelder-Mead
+simplex on the expected compiled cost.
 
-Evaluations run on the functional backend (``functional.py``) and are exact
-(amplitudes, no shot noise), so the same seed and config always reproduce
-the same trace bit for bit.  One probability pass gives both the expected
-cost and the decision marginal.  The search is a generator that yields each
-point and is sent its result: it owns no evaluator; ``optimize`` drives it.
+Evaluations are ``FunctionalCircuit.evaluate`` (``functional.py``), where
+the run metrics are defined.  They are exact (amplitudes, no shot noise),
+so the same seed and config always reproduce the same trace bit for bit.
+The search is a generator that yields each point and is sent its result:
+it owns no evaluator; ``optimize`` drives it.
 """
 
 from __future__ import annotations
@@ -13,24 +13,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .builder import NATURAL, LayerParams
 from .errors import EmptySubspaceError, InputError
-from .functional import FunctionalCircuit
-from .problem import ConstrainedBinaryProblem, Multipliers, solution_masks
+from .functional import EvalResult, FunctionalCircuit
+from .problem import ConstrainedBinaryProblem, Multipliers
 
 
 EXIT_THRESHOLD = 1e-9  # cost change below which the search stops; see optimize
-
-
-class EvalResult(NamedTuple):
-    expected_cost: float
-    p_feasible: float
-    p_optimal: float
-    survival_prob: float
 
 
 @dataclass(frozen=True)
@@ -72,41 +64,6 @@ class OptimizationTrace:
 _ANNIHILATED = EvalResult(math.inf, 0.0, 0.0, 0.0)
 
 
-class _Evaluator:
-    """Holds the functional circuit (compiled cost table, excess tables,
-    initial state) and the feasible and optimal decision-state masks: across
-    evaluations only the angles change, and no gate circuit is built."""
-
-    def __init__(self, problem, assignment, mult, ordering, q_measurements):
-        self.n_vars = problem.n_vars
-        self.q_measurements = q_measurements
-        self.circuit = FunctionalCircuit(problem, assignment, mult, ordering)
-        self.feasible, self.optimal = solution_masks(problem)
-
-    def params(self, theta: np.ndarray) -> LayerParams:
-        p = len(theta) // 2
-        return LayerParams(tuple(theta[:p]), tuple(theta[p:]), self.q_measurements)
-
-    def evaluate(self, params: LayerParams) -> EvalResult:
-        state = self.circuit.run(params)
-        probs = state.probabilities()
-        # The decision bits are the low qubits: their marginal sums the rest.
-        decision_probs = probs.reshape(-1, 1 << self.n_vars).sum(axis=0)
-        return EvalResult(
-            expected_cost=float(probs @ self.circuit.cost_table),
-            p_feasible=float(decision_probs[self.feasible].sum()),
-            p_optimal=float(decision_probs[self.optimal].sum()),
-            survival_prob=state.survival_prob,
-        )
-
-    def __call__(self, theta: np.ndarray) -> EvalResult:
-        """``evaluate`` for the search: an annihilated point has infinite cost."""
-        try:
-            return self.evaluate(self.params(theta))
-        except EmptySubspaceError:
-            return _ANNIHILATED
-
-
 def evaluate_params(
     problem: ConstrainedBinaryProblem,
     assignment,
@@ -114,14 +71,11 @@ def evaluate_params(
     params: LayerParams,
     ordering: str = NATURAL,
 ) -> EvalResult:
-    """Exact expectation of the compiled cost plus oracle-checked metrics.
+    """Exact run metrics (``FunctionalCircuit.metrics``) at ``params``.
 
-    p_feasible / p_optimal are always measured against the brute-force
-    feasible and optimal sets of the original problem, never the QUBO.
     Raises EmptySubspaceError when a Zeno projection annihilates the state.
     """
-    evaluator = _Evaluator(problem, assignment, mult, ordering, params.q_measurements)
-    return evaluator.evaluate(params)
+    return FunctionalCircuit(problem, assignment, mult, ordering).evaluate(params)
 
 
 def _initial_steps(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -201,22 +155,33 @@ def optimize(
     """
     start = time.perf_counter()
     init = config.init_params
-    ev = _Evaluator(problem, assignment, mult, ordering, init.q_measurements)
+    circuit = FunctionalCircuit(problem, assignment, mult, ordering)
+
+    def params(theta: np.ndarray) -> LayerParams:
+        p = len(theta) // 2
+        return LayerParams(tuple(theta[:p]), tuple(theta[p:]), init.q_measurements)
+
+    def evaluate(theta: np.ndarray) -> EvalResult:
+        try:
+            return circuit.evaluate(params(theta))
+        except EmptySubspaceError:
+            return _ANNIHILATED
+
     accepted: list[tuple[np.ndarray, EvalResult]] = []
     search = _nelder_mead(np.array(init.gamma + init.beta, dtype=float), config, accepted)
     point = next(search)
     try:
         while True:
-            point = search.send(ev(point))
+            point = search.send(evaluate(point))
     except StopIteration as done:
         best_theta, best_res = done.value
     records = []
     for i, (theta, res) in enumerate(accepted, 1):
-        params = ev.params(theta)
-        records.append(TraceRecord(i, params.gamma, params.beta, *res))
+        at = params(theta)
+        records.append(TraceRecord(i, at.gamma, at.beta, *res))
     return OptimizationTrace(
         records=records,
-        best_params=ev.params(best_theta),
+        best_params=params(best_theta),
         final=best_res,
         wall_time=time.perf_counter() - start,
     )

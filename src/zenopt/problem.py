@@ -72,6 +72,9 @@ class Multipliers:
     alpha: float
 
     def __post_init__(self):
+        for name, value in [*(("lambda", lam) for lam in self.lambdas), ("alpha", self.alpha)]:
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if any(lam < 0 for lam in self.lambdas) or self.alpha < 0:
             raise InputError("multipliers must be non-negative")
 
@@ -315,13 +318,25 @@ def problem_to_json(problem: ConstrainedBinaryProblem) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; InputError for floats, booleans and the rest."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def problem_from_json(text: str) -> ConstrainedBinaryProblem:
+    """Load ``problem_to_json``'s document; every number must be a JSON integer."""
     try:
         doc = json.loads(text)
-        objective = tuple(int(c) for c in doc["objective"])
+        objective = tuple(_json_int(c, f"objective entry {i}") for i, c in enumerate(doc["objective"]))
         constraints = tuple(
-            Constraint(tuple(int(a) for a in c["coeffs"]), int(c["bound"]), str(c.get("label", "")))
-            for c in doc["constraints"]
+            Constraint(
+                tuple(_json_int(a, f"constraint {ci} coefficient {i}") for i, a in enumerate(c["coeffs"])),
+                _json_int(c["bound"], f"constraint {ci} bound"),
+                str(c.get("label", "")),
+            )
+            for ci, c in enumerate(doc["constraints"])
         )
         labels = tuple(str(s) for s in doc.get("labels", []))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -19,9 +19,9 @@ def traced_peak(monkeypatch):
     mapped = []
     mapped_zeros = statevector._mapped_zeros
 
-    def counted(n_qubits):
+    def counted(n_qubits, populate=False):
         mapped.append(16 << n_qubits)
-        return mapped_zeros(n_qubits)
+        return mapped_zeros(n_qubits, populate)
 
     monkeypatch.setattr(statevector, "_mapped_zeros", counted)
 

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -263,6 +264,15 @@ def test_orderings_build_and_agree_on_qubits(ordering):
     reference = build_circuit(problem, assignment, MULT, LayerParams((0.1,), (0.1,)), "natural")
     assert circuit.layout.n_qubits == reference.layout.n_qubits
     assert len(circuit.gates) == len(reference.gates)
+
+
+@pytest.mark.parametrize("gamma, beta, message", [
+    ((0.1, math.nan), (0.1, 0.2), "gamma must be finite, got nan"),
+    ((0.1,), (-math.inf,), "beta must be finite, got -inf"),
+])
+def test_layer_params_reject_non_finite_angles(gamma, beta, message):
+    with pytest.raises(InputError, match=message):
+        LayerParams(gamma, beta)
 
 
 def test_build_circuit_validation():
@@ -533,7 +543,7 @@ def test_compiled_model_rejects_oversized_model_before_allocating():
 
 def test_circuit_stats_empty_and_cnot():
     layout_empty = build_layout(cargo(), ALL_QAOA, 3)
-    empty = HybridCircuit(layout_empty, [], [], "natural", 2)
+    empty = HybridCircuit(layout_empty, [], [], 2)
     stats = circuit_stats(empty)
     assert (stats.size, stats.depth, stats.width) == (0, 0, 3)
     assert stats.n_unitary_factors == 3
@@ -541,7 +551,7 @@ def test_circuit_stats_empty_and_cnot():
     from zenopt.statevector import gate_cnot
 
     layout2 = build_layout(cargo(), ALL_QAOA, 2)
-    single = HybridCircuit(layout2, [gate_cnot(0, 1)], [], "natural", 2)
+    single = HybridCircuit(layout2, [gate_cnot(0, 1)], [], 2)
     stats = circuit_stats(single)
     assert stats.non_local_gates == 1
     assert stats.depth == 1

@@ -7,6 +7,7 @@ import pytest
 from zenopt import (
     CapacityError,
     DEPHASE,
+    FunctionalCircuit,
     InputError,
     LayerParams,
     Multipliers,
@@ -17,15 +18,17 @@ from zenopt import (
     enumerate_assignments,
     lagrange_sweep,
     ordering_study,
+    parse_assignment,
     run_assignment,
     run_family_sweep,
+    sample,
     sampled_metrics,
     state_visit_histogram,
     zeno_demo_rows,
 )
 from zenopt.cli import build_parser, main
 from zenopt.harness import FAMILY_CSV_COLUMNS, SWEEP_CONFIG
-from zenopt.problem import save_problem
+from zenopt.problem import save_problem, solution_masks
 
 
 def tiny():
@@ -174,6 +177,30 @@ def test_sampled_metrics_tracks_exact():
     noisy = sampled_metrics(problem, (QAOA,) * 6, mult, params, shots=200000, seed=5)
     assert abs(noisy.p_feasible - exact.p_feasible) < 0.01
     assert abs(noisy.expected_cost - exact.expected_cost) < 5.0
+
+
+@pytest.mark.parametrize("assignment", ["QAOA,QAOA,QAOA,QAOA,QAOA,QAOA", "ZENO,QAOA,QAOA,QAOA,QAOA,QAOA",
+                                        "DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA"])
+def test_sampled_metrics_match_the_counts_read_one_shot_at_a_time(assignment):
+    """The shot path is ``FunctionalCircuit.metrics`` of the frequencies: it
+    equals the metrics summed shot string by shot string over the same counts."""
+    problem, mult, shots = cargo(), Multipliers.uniform(6, 13), 5000
+    assignment = parse_assignment(assignment)
+    params = LayerParams((0.07, 0.11), (0.5, 0.9), 2)
+    circuit = FunctionalCircuit(problem, assignment, mult)
+    state = circuit.run(params)
+    feasible, optimal = solution_masks(problem)
+    dec_mask = (1 << problem.n_vars) - 1
+    cost = feas = opt = 0.0
+    for string, count in sample(state, shots, 11).items():
+        index = int(string, 2)
+        weight = count / shots
+        cost += weight * float(circuit.cost_table[index])
+        feas += weight * feasible[index & dec_mask]
+        opt += weight * optimal[index & dec_mask]
+    got = sampled_metrics(problem, assignment, mult, params, shots, seed=11)
+    for value, expected in zip(got, (cost, feas, opt, state.survival_prob)):
+        assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=1e-12), (got, expected)
 
 
 @pytest.fixture
@@ -338,6 +365,36 @@ def test_cli_rejects_bad_counts_before_any_work(argv, message, cargo_json, tmp_p
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--assign", MIXED, "--lambda", "nan"], "lambda must be finite, got nan"),
+        (["sweep-lagrange", "--assign", MIXED, "--lambdas", "1,nan", "--out", "x.csv"],
+         "lambda must be finite, got nan"),
+        (["solve", "--assign", "DEPHASE,QAOA,QAOA,QAOA,QAOA,QAOA", "--alpha", "inf"],
+         "alpha must be finite, got inf"),
+        (["histogram", "--assign", MIXED, "--gamma", "nan", "--out", "x.csv"],
+         "gamma must be finite, got nan"),
+        (["histogram", "--assign", MIXED, "--beta=-inf", "--out", "x.csv"],
+         "beta must be finite, got -inf"),
+    ],
+    ids=["solve--lambda", "sweep-lagrange--lambdas", "solve--alpha", "histogram--gamma",
+         "histogram--beta"],
+)
+def test_cli_rejects_non_finite_values(argv, message, cargo_json, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--problem", cargo_json]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_rejects_non_integer_problem_numbers(tmp_path, capsys):
+    path = tmp_path / "fractional.json"
+    path.write_text('{"objective": [1.5, true], "constraints": [{"coeffs": [2.9, 1], "bound": 2.7}]}')
+    assert main(["solve", "--problem", str(path), "--assign", "QAOA"]) == 2
+    assert "objective entry 0 must be a JSON integer, got 1.5" in capsys.readouterr().err
 
 
 def test_cli_oversized_model_exits_3(tmp_path, capsys):

@@ -8,6 +8,8 @@ from zenopt import (
     ConstrainedBinaryProblem,
     Constraint,
     EmptySubspaceError,
+    EvalResult,
+    FunctionalCircuit,
     InputError,
     LayerParams,
     Multipliers,
@@ -68,6 +70,18 @@ def test_gate_and_oracle_metrics_agree():
     assert abs(gate_cost - functional.expected_cost) < 1e-8
     assert abs(gate_feasible - functional.p_feasible) < 1e-10
     assert abs(state.survival_prob - functional.survival_prob) < 1e-10
+
+
+@pytest.mark.parametrize("assignment", [ALL_QAOA, WEIGHT_ZENO, (DEPHASE, ZENO) * 2 + (QAOA,) * 2, (ZENO,) * 6])
+def test_metrics_of_the_run_are_evaluate_params(assignment):
+    """``evaluate_params`` is ``FunctionalCircuit.metrics`` of the run's
+    probabilities, bit for bit, on the four cargo baseline assignments."""
+    params = LayerParams((0.05, 0.12), (0.4, 0.7), 2)
+    circuit = FunctionalCircuit(cargo(), assignment, MULT)
+    state = circuit.run(params)
+    metrics = circuit.metrics(state.probabilities(), state.survival_prob)
+    assert metrics == evaluate_params(cargo(), assignment, MULT, params)
+    assert type(metrics) is EvalResult
 
 
 # One variable, x <= 0 as a Zeno constraint: RX(pi) moves the whole state

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -147,6 +148,17 @@ def test_multipliers_validation():
         Multipliers.uniform(2, 1.0, alpha=-0.5)
 
 
+@pytest.mark.parametrize("lambdas, alpha, message", [
+    ((1.0, math.nan), 1.0, "lambda must be finite, got nan"),
+    ((math.inf,), 1.0, "lambda must be finite, got inf"),
+    ((1.0,), math.inf, "alpha must be finite, got inf"),
+    ((1.0,), math.nan, "alpha must be finite, got nan"),
+])
+def test_multipliers_reject_non_finite_values(lambdas, alpha, message):
+    with pytest.raises(InputError, match=message):
+        Multipliers(lambdas, alpha)
+
+
 def test_qubo_to_ising_single_linear_bit():
     qubo = Qubo(1, np.zeros((1, 1)), np.array([1.0]), 0.0, {})
     ising = qubo_to_ising(qubo)
@@ -210,6 +222,23 @@ def test_json_malformed():
         problem_from_json("{not json")
     with pytest.raises(InputError):
         problem_from_json('{"constraints": []}')
+
+
+@pytest.mark.parametrize("objective, coeffs, bound, message", [
+    ("[1.5, 1]", "[2, 1]", "2", "objective entry 0 must be a JSON integer, got 1.5"),
+    ("[1, true]", "[2, 1]", "2", "objective entry 1 must be a JSON integer, got true"),
+    ("[1, 1]", "[2.9, 1]", "2", "constraint 0 coefficient 0 must be a JSON integer, got 2.9"),
+    ("[1, 1]", "[2, false]", "2", "constraint 0 coefficient 1 must be a JSON integer, got false"),
+    ("[1, 1]", "[2, 1]", "2.7", "constraint 0 bound must be a JSON integer, got 2.7"),
+    ("[1, 1]", "[2, 1]", "2.0", "constraint 0 bound must be a JSON integer, got 2.0"),
+    ("[1, 1]", "[2, 1]", "true", "constraint 0 bound must be a JSON integer, got true"),
+    ("[1, 1]", "[2, 1]", '"2"', 'constraint 0 bound must be a JSON integer, got "2"'),
+])
+def test_json_numbers_must_be_integers(objective, coeffs, bound, message):
+    """A value int() would round or coerce is an input error, never a different problem."""
+    doc = f'{{"objective": {objective}, "constraints": [{{"coeffs": {coeffs}, "bound": {bound}}}]}}'
+    with pytest.raises(InputError, match=message):
+        problem_from_json(doc)
 
 
 def _random_problem(seed, n_vars, n_cons):
