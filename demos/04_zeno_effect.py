@@ -26,7 +26,7 @@ for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
 
 # A full Rabi flip (n=1) never survives; dense measurement pins the state.
 print("\nprojected generator P X P:")
-print(zeno_hamiltonian(pauli_x, proj0).matrix.real)
+print(zeno_hamiltonian(pauli_x, proj0).real)
 
 # The same physics drives the circuit layer: a Zeno block's cumulative
 # survival equals the dense repeated-measurement product of its mixer

@@ -91,8 +91,6 @@ from .statevector import (
     sample,
 )
 from .zeno import (
-    DenseHamiltonian,
-    Projector,
     expm_hermitian,
     survival_analytic,
     survival_empirical,

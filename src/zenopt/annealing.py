@@ -16,6 +16,8 @@ from .problem import (
     QAOA,
     ConstrainedBinaryProblem,
     Multipliers,
+    check_finite,
+    check_int,
     compile_qubo,
 )
 
@@ -28,10 +30,12 @@ class AnnealSchedule:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self.t_start, "t_start")
+        check_finite(self.t_end, "t_end")
         if not self.t_start >= self.t_end > 0:
             raise InputError("need t_start >= t_end > 0")
-        if self.steps < 1:
-            raise InputError("steps must be >= 1")
+        check_int(self.steps, "steps", 1)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ searches run the same layers on the ancilla-free functional backend
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +38,8 @@ from .problem import (
     ConstrainedBinaryProblem,
     IsingCoeffs,
     Multipliers,
+    check_finite,
+    check_int,
     check_kinds,
     compile_qubo,
     feasible_mask,
@@ -80,10 +81,8 @@ class LayerParams:
             raise InputError("gamma and beta must have equal, positive length")
         for name, angles in (("gamma", self.gamma), ("beta", self.beta)):
             for angle in angles:
-                if not math.isfinite(angle):
-                    raise InputError(f"{name} must be finite, got {angle}")
-        if self.q_measurements < 1:
-            raise InputError("q_measurements must be >= 1")
+                check_finite(angle, name)
+        check_int(self.q_measurements, "q_measurements", 1)
 
     @property
     def p_layers(self) -> int:
@@ -264,7 +263,8 @@ class CompiledModel:
 
 @lru_cache(maxsize=128)
 def compiled_model(problem: ConstrainedBinaryProblem, assignment, mult: Multipliers) -> CompiledModel:
-    """Cached compilation; callers must not mutate the returned arrays.
+    """Cached compilation.  Its cost table and QUBO ``Q`` and ``B`` are read-only:
+    every caller of the same model shares them.
 
     A model over more than ``MAX_QUBITS`` bits raises CapacityError before
     its cost table (8 * 2^n_bits bytes) is allocated.
@@ -278,6 +278,8 @@ def compiled_model(problem: ConstrainedBinaryProblem, assignment, mult: Multipli
             f"{16 << n} bytes"
         )
     table = qubo_values(qubo)
+    for array in (qubo.Q, qubo.B, table):
+        array.flags.writeable = False
     return CompiledModel(qubo, qubo_to_ising(qubo), build_layout(problem, assignment, qubo.n_bits), table)
 
 

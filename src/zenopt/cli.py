@@ -33,6 +33,18 @@ from .optimizer import OptimizerConfig, optimize
 from .problem import Multipliers, default_multipliers, load_problem
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= ``low``: anything else is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if int(text) >= low:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+
+    return parse
+
+
 # Flags shared by several commands.  Each command registers only the flags
 # it reads, so argparse rejects the rest instead of ignoring them.
 _SHARED_FLAGS = {
@@ -44,7 +56,7 @@ _SHARED_FLAGS = {
     "p": dict(type=int, default=1, help="number of layers"),
     "q": dict(type=int, default=1, help="Zeno measurements per layer"),
     "ordering": dict(choices=ORDERINGS, default="natural"),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_int_at_least(0), default=0),
     "iters": dict(type=int, default=OptimizerConfig.max_iters, help="optimizer iterations"),
 }
 
@@ -59,18 +71,6 @@ def _comma_list(convert):
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not a comma list of {convert.__name__} values"
             ) from None
-
-    return parse
-
-
-def _int_at_least(low: int):
-    """argparse type for an integer >= ``low``: anything else is a usage error (exit 2)."""
-
-    def parse(text: str) -> int:
-        with contextlib.suppress(ValueError):
-            if int(text) >= low:
-                return int(text)
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
 
     return parse
 

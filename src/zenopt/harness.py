@@ -30,7 +30,7 @@ from .builder import (
 from .errors import CapacityError, InputError, ZenoptError
 from .functional import EvalResult, FunctionalCircuit
 from .optimizer import OptimizationTrace, OptimizerConfig, evaluate_params, optimize
-from .problem import REP_KINDS, ConstrainedBinaryProblem, Multipliers
+from .problem import REP_KINDS, ConstrainedBinaryProblem, Multipliers, check_finite
 from .statevector import basis_string, marginal_probabilities, sample
 from .zeno import survival_analytic, survival_empirical, zeno_limit_error
 
@@ -205,6 +205,7 @@ def zeno_demo_rows(n_list, t: float = math.pi / 2) -> list[dict[str, float]]:
     """Two-level survival study: X Hamiltonian, projection onto |0><0|."""
     if not n_list or any(n < 1 for n in n_list):
         raise InputError("n_list must contain positive measurement counts")
+    check_finite(t, "t")
     pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
     proj0 = np.diag([1.0, 0.0]).astype(complex)
     psi0 = np.array([1.0, 0.0], dtype=complex)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import NATURAL, LayerParams
-from .errors import EmptySubspaceError, InputError
+from .errors import EmptySubspaceError
 from .functional import EvalResult, FunctionalCircuit
-from .problem import ConstrainedBinaryProblem, Multipliers
+from .problem import ConstrainedBinaryProblem, Multipliers, check_int
 
 
 EXIT_THRESHOLD = 1e-9  # cost change below which the search stops; see optimize
@@ -32,8 +32,8 @@ class OptimizerConfig:
     init_params: LayerParams = LayerParams.initial()
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InputError("max_iters must be >= 1")
+        check_int(self.max_iters, "max_iters", 1)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

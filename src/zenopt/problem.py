@@ -26,6 +26,21 @@ REP_KINDS = (QAOA, DEPHASE, ZENO)
 BRUTE_FORCE_MAX_VARS = 24
 
 
+def check_int(value, what: str, low: int | None = None) -> None:
+    """InputError naming ``what`` and ``value`` unless ``value`` is a Python or
+    numpy integer (never ``bool``), at least ``low`` when one is given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InputError(f"{what} must be >= {low}, got {value!r}")
+
+
+def check_finite(value, what: str) -> None:
+    """InputError naming ``what`` and ``value`` unless ``value`` is finite."""
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Linear inequality sum_i coeffs[i] * x_i <= bound."""
@@ -45,11 +60,17 @@ class ConstrainedBinaryProblem:
     var_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        check_int(self.n_vars, "n_vars")
         if len(self.objective) != self.n_vars:
             raise InputError("objective length must equal n_vars")
+        for i, c in enumerate(self.objective):
+            check_int(c, f"objective entry {i}")
         for con in self.constraints:
             if len(con.coeffs) != self.n_vars:
                 raise InputError(f"constraint {con.label!r} has wrong coefficient count")
+            for i, a in enumerate(con.coeffs):
+                check_int(a, f"constraint {con.label!r} coefficient {i}")
+            check_int(con.bound, f"constraint {con.label!r} bound")
             if con.bound < 0:
                 raise InputError(f"constraint {con.label!r} has negative bound")
             # QAOA slack bits encode b - a.x >= 0, and the DEPHASE/ZENO cost
@@ -72,9 +93,9 @@ class Multipliers:
     alpha: float
 
     def __post_init__(self):
-        for name, value in [*(("lambda", lam) for lam in self.lambdas), ("alpha", self.alpha)]:
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value}")
+        for lam in self.lambdas:
+            check_finite(lam, "lambda")
+        check_finite(self.alpha, "alpha")
         if any(lam < 0 for lam in self.lambdas) or self.alpha < 0:
             raise InputError("multipliers must be non-negative")
 
@@ -98,6 +119,7 @@ def cargo_instance(weights: list[int], n_positions: int, max_weight: int) -> Con
     """
     if not weights:
         raise InputError("weights must be non-empty")
+    check_int(n_positions, "n_positions")
     if max_weight < 0:
         raise InputError("max_weight must be >= 0")
     n_cargo = len(weights)

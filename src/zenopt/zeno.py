@@ -1,14 +1,14 @@
 """Survival probability under repeated projective measurement and the
 projected-Hamiltonian limit dynamics, in dense linear algebra (hbar = 1).
 
-Dimensions are capped at toy scale; matrix exponentials go through an
-eigendecomposition so repeated projection products stay exact to machine
-precision.
+Every function takes plain array-likes and checks each matrix it is given: a
+Hamiltonian must be Hermitian and a projector idempotent, both within 1e-12
+(ContractError), and square with dimension at most ``MAX_DIM``
+(CapacityError).  Matrix exponentials go through an eigendecomposition so
+repeated projection products stay exact to machine precision.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .errors import CapacityError, ContractError
 MAX_DIM = 256
 
 
-def _as_matrix(obj) -> np.ndarray:
-    mat = getattr(obj, "matrix", obj)
+def _square(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {mat.shape}")
@@ -27,52 +26,25 @@ def _as_matrix(obj) -> np.ndarray:
     return mat
 
 
-def _check_hermitian(mat: np.ndarray, what: str) -> None:
+def _hermitian(mat, what: str = "Hamiltonian") -> np.ndarray:
+    """``mat`` as a complex square matrix, checked Hermitian within 1e-12."""
+    mat = _square(mat)
     if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
         raise ContractError(f"{what} must be Hermitian within 1e-12")
+    return mat
 
 
-def _check_projector(mat: np.ndarray) -> None:
-    _check_hermitian(mat, "projector")
+def _projector(mat) -> np.ndarray:
+    """``mat`` as a complex square matrix, checked an orthogonal projector within 1e-12."""
+    mat = _hermitian(mat, "projector")
     if np.max(np.abs(mat @ mat - mat)) > 1e-12:
         raise ContractError("projector must satisfy P @ P = P within 1e-12")
-
-
-@dataclass(frozen=True)
-class DenseHamiltonian:
-    """Hermitian matrix in energy units."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_matrix(self.matrix)
-        _check_hermitian(mat, "Hamiltonian")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projection operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _as_matrix(self.matrix)
-        _check_projector(mat)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    return mat
 
 
 def expm_hermitian(hamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H via eigendecomposition."""
-    evals, vecs = np.linalg.eigh(DenseHamiltonian(hamiltonian).matrix)
+    evals, vecs = np.linalg.eigh(_hermitian(hamiltonian))
     return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 
 
@@ -93,7 +65,7 @@ def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float
     the small-interval expansion taken at face value, so the result is not
     clamped and can drop below 0 for long times.
     """
-    mat = DenseHamiltonian(hamiltonian).matrix
+    mat = _hermitian(hamiltonian)
     if n_measurements < 1:
         raise ContractError("n_measurements must be >= 1")
     psi = _state(psi0, mat.shape[0])
@@ -107,7 +79,7 @@ def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float
 
 def _hamiltonian_and_projector(hamiltonian, projector) -> tuple[np.ndarray, np.ndarray]:
     """Validated H and P matrices, which must have the same dimension."""
-    mat, proj = DenseHamiltonian(hamiltonian).matrix, Projector(projector).matrix
+    mat, proj = _hermitian(hamiltonian), _projector(projector)
     if mat.shape != proj.shape:
         raise ContractError(f"Hamiltonian shape {mat.shape} differs from projector shape {proj.shape}")
     return mat, proj
@@ -138,10 +110,10 @@ def survival_empirical(hamiltonian, projector, psi0, t: float, n_measurements: i
     return float(np.linalg.norm(vec) ** 2)
 
 
-def zeno_hamiltonian(hamiltonian, projector) -> DenseHamiltonian:
+def zeno_hamiltonian(hamiltonian, projector) -> np.ndarray:
     """Generator P H P of the dynamics inside the measured subspace."""
     mat, proj = _hamiltonian_and_projector(hamiltonian, projector)
-    return DenseHamiltonian(proj @ mat @ proj)
+    return proj @ mat @ proj
 
 
 def zeno_limit_error(hamiltonian, projector, psi0, t: float, n_measurements: int) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from zenopt import (
@@ -87,3 +89,17 @@ def test_schedule_validation():
         AnnealSchedule(t_end=0.0)
     with pytest.raises(InputError):
         AnnealSchedule(steps=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(seed=0.5), "seed must be an integer, got 0.5"),
+    (dict(steps=2.5), "steps must be an integer, got 2.5"),
+    (dict(steps=True), "steps must be an integer, got True"),
+    (dict(t_start=math.inf), "t_start must be finite, got inf"),
+    (dict(t_start=math.nan), "t_start must be finite, got nan"),
+    (dict(t_end=math.nan), "t_end must be finite, got nan"),
+])
+def test_schedule_rejects_bad_counts_seeds_and_temperatures(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        AnnealSchedule(**kwargs)

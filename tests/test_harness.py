@@ -167,6 +167,12 @@ def test_zeno_demo_rows():
         zeno_demo_rows([])
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_zeno_demo_rows_reject_non_finite_time(t):
+    with pytest.raises(InputError, match=f"t must be finite, got {t}"):
+        zeno_demo_rows([1, 2], t=t)
+
+
 def test_sampled_metrics_tracks_exact():
     problem = cargo()
     mult = Multipliers.uniform(6, 13)
@@ -357,6 +363,9 @@ def test_cli_rejects_malformed_measurement_count_list(tmp_path, capsys):
         (["solve", "--assign", MIXED, "--shots", "x"], "argument --shots: 'x' is not an integer >= 0"),
         (["sweep-family", "--workers", "-2"], "argument --workers: '-2' is not an integer >= 1"),
         (["sweep-family", "--workers", "0"], "argument --workers: '0' is not an integer >= 1"),
+        (["solve", "--assign", MIXED, "--seed", "-1"], "argument --seed: '-1' is not an integer >= 0"),
+        (["baseline-sa", "--seed", "-1"], "argument --seed: '-1' is not an integer >= 0"),
+        (["sweep-family", "--seed", "-1"], "argument --seed: '-1' is not an integer >= 0"),
     ],
 )
 def test_cli_rejects_bad_counts_before_any_work(argv, message, cargo_json, tmp_path, capsys):
@@ -379,13 +388,17 @@ def test_cli_rejects_bad_counts_before_any_work(argv, message, cargo_json, tmp_p
          "gamma must be finite, got nan"),
         (["histogram", "--assign", MIXED, "--beta=-inf", "--out", "x.csv"],
          "beta must be finite, got -inf"),
+        (["zeno-demo", "--n-list", "1,2", "--t", "nan", "--out", "x.csv"], "t must be finite, got nan"),
+        (["baseline-sa", "--t-start", "inf", "--out", "x.csv"], "t_start must be finite, got inf"),
+        (["baseline-sa", "--t-end", "nan", "--out", "x.csv"], "t_end must be finite, got nan"),
     ],
     ids=["solve--lambda", "sweep-lagrange--lambdas", "solve--alpha", "histogram--gamma",
-         "histogram--beta"],
+         "histogram--beta", "zeno-demo--t", "baseline-sa--t-start", "baseline-sa--t-end"],
 )
 def test_cli_rejects_non_finite_values(argv, message, cargo_json, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, "--problem", cargo_json]) == 2
+    problem = [] if argv[0] == "zeno-demo" else ["--problem", cargo_json]
+    assert main([*argv, *problem]) == 2
     assert f"input error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 

@@ -259,3 +259,45 @@ def test_pinned_search_paths(case):
     assert trace.final.survival_prob == _close(survival)
     assert trace.best_params.gamma == _close(gamma)
     assert trace.best_params.beta == _close(beta)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    (dict(seed=True), "seed must be an integer, got True"),
+    (dict(max_iters=2.5), "max_iters must be an integer, got 2.5"),
+    (dict(max_iters=True), "max_iters must be an integer, got True"),
+])
+def test_config_rejects_non_integer_counts_and_negative_seeds(kwargs, message):
+    with pytest.raises(InputError, match=message):
+        OptimizerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("q, message", [
+    (1.5, "q_measurements must be an integer, got 1.5"),
+    (2.0, "q_measurements must be an integer, got 2.0"),
+    (True, "q_measurements must be an integer, got True"),
+])
+def test_layer_params_reject_non_integer_measurement_counts(q, message):
+    with pytest.raises(InputError, match=message):
+        LayerParams((0.1,), (0.1,), q)
+
+
+def test_numpy_integer_counts_are_accepted():
+    config = OptimizerConfig(max_iters=np.int64(3), seed=np.int32(2))
+    params = LayerParams((0.1,), (0.1,), np.int64(2))
+    expected = evaluate_params(cargo(), WEIGHT_ZENO, MULT, LayerParams((0.1,), (0.1,), 2))
+    assert evaluate_params(cargo(), WEIGHT_ZENO, MULT, params) == expected
+    assert len(optimize(cargo(), WEIGHT_ZENO, MULT, config).records) >= 1
+
+
+def test_cached_model_arrays_are_read_only():
+    # compiled_model is cached, so one caller's in-place edit would change
+    # every later evaluation of the same model.
+    params = LayerParams((0.3,), (0.2,), 2)
+    before = evaluate_params(cargo(), WEIGHT_ZENO, MULT, params)
+    model = compiled_model(cargo(), WEIGHT_ZENO, MULT)
+    for array in (model.cost_table, model.qubo.Q, model.qubo.B):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1.0
+    assert evaluate_params(cargo(), WEIGHT_ZENO, MULT, params) == before

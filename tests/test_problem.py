@@ -354,3 +354,30 @@ def test_unknown_kind_rejected_everywhere(kind):
     assert row.error.startswith("InputError: unknown representation")
     with pytest.raises(InputError, match="unknown representation 'MAGIC'"):
         parse_assignment("QAOA,MAGIC")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConstrainedBinaryProblem(2, (1.5, 1), (Constraint((1, 1), 2),)),
+     "objective entry 0 must be an integer, got 1.5"),
+    (lambda: ConstrainedBinaryProblem(2, (1, 1), (Constraint((1.5, 1), 2, "c"),)),
+     "constraint 'c' coefficient 0 must be an integer, got 1.5"),
+    (lambda: ConstrainedBinaryProblem(2, (1, 1), (Constraint((1, False), 2, "c"),)),
+     "constraint 'c' coefficient 1 must be an integer, got False"),
+    (lambda: ConstrainedBinaryProblem(2, (1, 1), (Constraint((1, 1), True, "c"),)),
+     "constraint 'c' bound must be an integer, got True"),
+    (lambda: ConstrainedBinaryProblem(2, (1, 1), (Constraint((1, 1), 2.0, "c"),)),
+     "constraint 'c' bound must be an integer, got 2.0"),
+    (lambda: ConstrainedBinaryProblem(True, (1,), ()), "n_vars must be an integer, got True"),
+    (lambda: cargo_instance([1.5, 2], 2, 3), "objective entry 0 must be an integer, got 1.5"),
+    (lambda: cargo_instance([1, 2], 2, 2.5), "constraint 'weight' bound must be an integer, got 2.5"),
+    (lambda: cargo_instance([1, 2], 1.5, 3), "n_positions must be an integer, got 1.5"),
+])
+def test_python_built_problems_hold_integers(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
+def test_numpy_integer_problem_numbers_are_accepted():
+    coeffs = tuple(np.arange(1, 4))
+    problem = ConstrainedBinaryProblem(np.int64(3), coeffs, (Constraint(coeffs, np.int32(3)),))
+    assert brute_force_solve(problem).opt_value == 3

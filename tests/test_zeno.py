@@ -4,8 +4,6 @@ import pytest
 from zenopt import (
     CapacityError,
     ContractError,
-    DenseHamiltonian,
-    Projector,
     expm_hermitian,
     survival_analytic,
     survival_empirical,
@@ -123,12 +121,12 @@ def test_zeno_hamiltonian_identity_projector():
     rng = np.random.default_rng(1)
     h = _random_hermitian(rng, 4)
     result = zeno_hamiltonian(h, np.eye(4, dtype=complex))
-    assert np.allclose(result.matrix, h)
+    assert np.allclose(result, h)
 
 
 def test_zeno_hamiltonian_kills_offdiagonal_x():
     result = zeno_hamiltonian(PAULI_X, PROJ_0)
-    assert np.allclose(result.matrix, 0.0)
+    assert np.allclose(result, 0.0)
 
 
 def test_zeno_hamiltonian_block_selection():
@@ -141,7 +139,7 @@ def test_zeno_hamiltonian_block_selection():
     result = zeno_hamiltonian(h, proj)
     expected = np.zeros((4, 4), dtype=complex)
     expected[:2, :2] = block
-    assert np.allclose(result.matrix, expected)
+    assert np.allclose(result, expected)
 
 
 def test_zeno_limit_error_commuting_is_zero():
@@ -200,16 +198,20 @@ def test_contract_errors():
         survival_empirical(PAULI_X, PROJ_0, ket_1, 1.0, 2)  # P psi != psi
 
 
-def test_wrapper_types_validate():
-    with pytest.raises(ContractError):
-        DenseHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ContractError):
-        Projector(np.array([[0.5, 0.0], [0.0, 0.5]]))
+def test_functions_validate_plain_matrices():
+    nonherm = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ContractError, match="Hamiltonian must be Hermitian within 1e-12"):
+        expm_hermitian(nonherm, 1.0)
+    with pytest.raises(ContractError, match=r"projector must satisfy P @ P = P within 1e-12"):
+        zeno_hamiltonian(PAULI_X, np.array([[0.5, 0.0], [0.0, 0.5]]))
     with pytest.raises(CapacityError):
-        DenseHamiltonian(np.zeros((300, 300)))
-    ham = DenseHamiltonian(PAULI_X)
-    assert ham.dim == 2
-    assert abs(survival_empirical(ham, Projector(PROJ_0), KET_0, np.pi / 2, 10) - np.cos(np.pi / 20) ** 20) < 1e-12
+        expm_hermitian(np.zeros((300, 300)), 1.0)
+    with pytest.raises(ContractError, match="expected a square matrix"):
+        expm_hermitian(np.zeros((2, 3)), 1.0)
+    # lists are accepted as they are
+    value = survival_empirical(PAULI_X.tolist(), PROJ_0.tolist(), KET_0, np.pi / 2, 10)
+    assert abs(value - np.cos(np.pi / 20) ** 20) < 1e-12
+    assert isinstance(zeno_hamiltonian(PAULI_X, PROJ_0), np.ndarray)
 
 
 def test_zeno_layer_matches_dense_model():
