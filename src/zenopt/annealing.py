@@ -11,15 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .problem import (
-    QAOA,
-    ConstrainedBinaryProblem,
-    Multipliers,
-    check_finite,
-    check_int,
-    compile_qubo,
-)
+from .errors import InputError, check_finite, check_int
+from .problem import QAOA, ConstrainedBinaryProblem, Multipliers, compile_qubo
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ when no constraint is Zeno-assigned.
 These gate circuits are the reference and the source of circuit statistics;
 searches run the same layers on the ancilla-free functional backend
 (``functional.py``), which shares ``compiled_model``, ``block_order`` and
-``mixer_targets`` with them.
+``mixer_targets`` with them.  The compiled model holds no 2^n table, so
+building and counting a circuit takes memory polynomial in its qubits; only
+a state (``new_state``) or the functional backend's cost table is 2^n.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .arithmetic import (
     build_uncompute,
     register_width,
 )
-from .errors import CapacityError, InputError, LayoutError
+from .errors import InputError, LayoutError, check_finite, check_int
 from .problem import (
     DEPHASE,
     QAOA,
@@ -38,16 +40,13 @@ from .problem import (
     ConstrainedBinaryProblem,
     IsingCoeffs,
     Multipliers,
-    check_finite,
-    check_int,
+    Qubo,
     check_kinds,
     compile_qubo,
     feasible_mask,
     qubo_to_ising,
-    qubo_values,
 )
 from .statevector import (
-    MAX_QUBITS,
     Gate,
     Projection,
     Statevector,
@@ -109,12 +108,8 @@ class CircuitLayout:
 
     @property
     def ancilla(self) -> tuple[int, ...]:
-        seen: list[int] = []
-        for reg in self.registers.values():
-            for q in (*reg.cost_qubits, reg.flag_qubit):
-                if q not in seen:
-                    seen.append(q)
-        return tuple(seen)
+        qubits = (q for reg in self.registers.values() for q in (*reg.cost_qubits, reg.flag_qubit))
+        return tuple(dict.fromkeys(qubits))  # first-seen order, pooled registers once
 
 
 @dataclass
@@ -255,32 +250,20 @@ def build_zeno_layer(
 class CompiledModel:
     """Compiled cost model shared by circuit building and evaluation."""
 
-    qubo: "object"
+    qubo: Qubo
     ising: IsingCoeffs
     layout: CircuitLayout
-    cost_table: np.ndarray  # QUBO value per decision+slack basis index
 
 
 @lru_cache(maxsize=128)
 def compiled_model(problem: ConstrainedBinaryProblem, assignment, mult: Multipliers) -> CompiledModel:
-    """Cached compilation.  Its cost table and QUBO ``Q`` and ``B`` are read-only:
-    every caller of the same model shares them.
-
-    A model over more than ``MAX_QUBITS`` bits raises CapacityError before
-    its cost table (8 * 2^n_bits bytes) is allocated.
-    """
+    """Cached compilation: QUBO, Ising terms and layout, O(n_bits^2) memory at
+    any size.  Its QUBO ``Q`` and ``B`` are read-only: every caller of the same
+    model shares them."""
     qubo = compile_qubo(problem, assignment, mult)
-    n = qubo.n_bits
-    if n > MAX_QUBITS:
-        raise CapacityError(
-            f"the compiled model has {n} bits, more than MAX_QUBITS = {MAX_QUBITS}: its cost "
-            f"table would take 8*2^n = {8 << n} bytes and each functional state 16*2^n = "
-            f"{16 << n} bytes"
-        )
-    table = qubo_values(qubo)
-    for array in (qubo.Q, qubo.B, table):
+    for array in (qubo.Q, qubo.B):
         array.flags.writeable = False
-    return CompiledModel(qubo, qubo_to_ising(qubo), build_layout(problem, assignment, qubo.n_bits), table)
+    return CompiledModel(qubo, qubo_to_ising(qubo), build_layout(problem, assignment, qubo.n_bits))
 
 
 def block_order(assignment, ordering: str) -> list[int]:

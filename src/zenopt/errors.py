@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the checks that raise InputError."""
+
+import math
+
+import numpy as np
 
 
 class ZenoptError(Exception):
@@ -27,3 +31,18 @@ class EmptySubspaceError(ZenoptError):
 
 class InputError(ZenoptError):
     """User-supplied input is malformed or inconsistent."""
+
+
+def check_int(value, what: str, low: int | None = None) -> None:
+    """InputError naming ``what`` and ``value`` unless ``value`` is a Python or
+    numpy integer (never ``bool``), at least ``low`` when one is given."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InputError(f"{what} must be >= {low}, got {value!r}")
+
+
+def check_finite(value, what: str) -> None:
+    """InputError naming ``what`` and ``value`` unless ``value`` is finite."""
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value}")

@@ -16,10 +16,13 @@ order, as
 The initial state is uniform over the decision states that satisfy every
 ZENO constraint, for every slack value; one rule, ``write_initial_block``,
 writes it for both backends.  No circuit is built per run: a
-``FunctionalCircuit`` takes its blocks' excess rows and Zeno masks from the
-problem's cached ``constraint_excess`` table and runs any angles.  The gate
-backend stays the reference; its ancilla-zero slice is what these amplitudes
-are tested against.
+``FunctionalCircuit`` builds and owns its cost table (``qubo_values`` of the
+compiled QUBO), takes its blocks' excess rows and Zeno masks from the
+problem's cached ``constraint_excess`` table, and runs any angles.  A model
+over more than ``MAX_QUBITS`` bits raises CapacityError before the table, a
+state or the solution masks is allocated.  The gate backend stays the
+reference; its ancilla-zero slice is what these amplitudes are tested
+against.
 
 The run metrics are defined here, once: ``FunctionalCircuit.metrics`` reads
 the expected compiled cost and the probabilities that the decision bits are
@@ -36,9 +39,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets, write_initial_block
-from .errors import EmptySubspaceError
+from .errors import CapacityError, EmptySubspaceError
 from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess, solution_masks
-from .statevector import ANNIHILATION_PROB, Statevector, _apply_inplace, gate_rx
+from .problem import qubo_values
+from .statevector import ANNIHILATION_PROB, MAX_QUBITS, Statevector, _apply_inplace, gate_rx
 
 
 class EvalResult(NamedTuple):
@@ -68,11 +72,18 @@ class FunctionalCircuit:
     ):
         assignment = tuple(assignment)
         model = compiled_model(problem, assignment, mult)
+        n = model.qubo.n_bits
+        if n > MAX_QUBITS:
+            raise CapacityError(
+                f"the compiled model has {n} bits, more than MAX_QUBITS = {MAX_QUBITS}: its cost "
+                f"table would take 8*2^n = {8 << n} bytes and each functional state 16*2^n = "
+                f"{16 << n} bytes"
+            )
         self.n_vars = problem.n_vars
-        self.n_bits = model.qubo.n_bits
+        self.n_bits = n
         self.alpha = mult.alpha
-        self.cost_table = model.cost_table  # QUBO value per decision+slack index
-        self.centered = (model.cost_table - model.ising.identity).reshape(-1, 1 << self.n_vars)
+        self.cost_table = qubo_values(model.qubo)  # QUBO value per decision+slack index
+        self.centered = (self.cost_table - model.ising.identity).reshape(-1, 1 << self.n_vars)
         self.decision = model.layout.decision
         self.feasible, self.optimal = solution_masks(problem)
         self.mixer = mixer_targets(assignment, model.layout)

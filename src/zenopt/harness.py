@@ -27,10 +27,10 @@ from .builder import (
     build_circuit,
     circuit_stats,
 )
-from .errors import CapacityError, InputError, ZenoptError
+from .errors import CapacityError, InputError, ZenoptError, check_finite, check_int
 from .functional import EvalResult, FunctionalCircuit
 from .optimizer import OptimizationTrace, OptimizerConfig, evaluate_params, optimize
-from .problem import REP_KINDS, ConstrainedBinaryProblem, Multipliers, check_finite
+from .problem import REP_KINDS, ConstrainedBinaryProblem, Multipliers
 from .statevector import basis_string, marginal_probabilities, sample
 from .zeno import survival_analytic, survival_empirical, zeno_limit_error
 
@@ -203,8 +203,10 @@ def ordering_study(
 
 def zeno_demo_rows(n_list, t: float = math.pi / 2) -> list[dict[str, float]]:
     """Two-level survival study: X Hamiltonian, projection onto |0><0|."""
-    if not n_list or any(n < 1 for n in n_list):
+    if not n_list:
         raise InputError("n_list must contain positive measurement counts")
+    for n in n_list:
+        check_int(n, "measurement count", 1)
     check_finite(t, "t")
     pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
     proj0 = np.diag([1.0, 0.0]).astype(complex)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import NATURAL, LayerParams
-from .errors import EmptySubspaceError
+from .errors import EmptySubspaceError, check_int
 from .functional import EvalResult, FunctionalCircuit
-from .problem import ConstrainedBinaryProblem, Multipliers, check_int
+from .problem import ConstrainedBinaryProblem, Multipliers
 
 
 EXIT_THRESHOLD = 1e-9  # cost change below which the search stops; see optimize

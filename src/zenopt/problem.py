@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, InputError
+from .errors import CapacityError, ContractError, InputError, check_finite, check_int
 from .statevector import basis_string
 
 QAOA = "QAOA"
@@ -24,21 +24,6 @@ ZENO = "ZENO"
 REP_KINDS = (QAOA, DEPHASE, ZENO)
 
 BRUTE_FORCE_MAX_VARS = 24
-
-
-def check_int(value, what: str, low: int | None = None) -> None:
-    """InputError naming ``what`` and ``value`` unless ``value`` is a Python or
-    numpy integer (never ``bool``), at least ``low`` when one is given."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise InputError(f"{what} must be >= {low}, got {value!r}")
-
-
-def check_finite(value, what: str) -> None:
-    """InputError naming ``what`` and ``value`` unless ``value`` is finite."""
-    if not math.isfinite(value):
-        raise InputError(f"{what} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

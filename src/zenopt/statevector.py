@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, EmptySubspaceError, ShapeError
+from .errors import CapacityError, EmptySubspaceError, ShapeError, check_int
 
 MAX_QUBITS = 26
 ANNIHILATION_PROB = 1e-12  # a projection keeping at most this raises EmptySubspaceError
@@ -508,8 +508,8 @@ def project_qubit(state: Statevector, qubit: int, outcome: int) -> Statevector:
 
 def sample(state: Statevector, shots: int, seed: int) -> dict[str, int]:
     """Multinomial sampling of basis strings; deterministic given ``seed``."""
-    if shots < 1:
-        raise ShapeError(f"shots must be >= 1, got {shots}")
+    check_int(shots, "shots", 1)
+    check_int(seed, "seed", 0)
     probs = state.probabilities()
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, ContractError
+from .errors import CapacityError, ContractError, InputError, check_int
 
 MAX_DIM = 256
 
@@ -58,6 +58,13 @@ def _state(psi0, dim: int) -> np.ndarray:
     return psi
 
 
+def _check_count(n_measurements) -> None:
+    try:
+        check_int(n_measurements, "n_measurements", 1)
+    except InputError as exc:
+        raise ContractError(str(exc)) from None
+
+
 def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float:
     """Second-order survival estimate 1 - t * (t/N) * Theta.
 
@@ -66,8 +73,7 @@ def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float
     clamped and can drop below 0 for long times.
     """
     mat = _hermitian(hamiltonian)
-    if n_measurements < 1:
-        raise ContractError("n_measurements must be >= 1")
+    _check_count(n_measurements)
     psi = _state(psi0, mat.shape[0])
     h_psi = mat @ psi
     mean = np.vdot(psi, h_psi).real
@@ -88,8 +94,7 @@ def _hamiltonian_and_projector(hamiltonian, projector) -> tuple[np.ndarray, np.n
 def _projected_evolution(hamiltonian, projector, psi0, t: float, n_measurements: int):
     """Validated (H, P, psi0) and the product (P exp(-i H t/N))^N psi0."""
     mat, proj = _hamiltonian_and_projector(hamiltonian, projector)
-    if n_measurements < 1:
-        raise ContractError("n_measurements must be >= 1")
+    _check_count(n_measurements)
     psi = _state(psi0, mat.shape[0])
     step = expm_hermitian(mat, t / n_measurements)
     vec = psi

@@ -140,7 +140,7 @@ def test_dephasing_layer_matches_functional_oracle(mode):
         circuit = FunctionalCircuit(problem, WEIGHT_DEPHASE, mult)
         evolved = circuit.run(LayerParams((theta,), (0.0,))).amplitudes
         n = circuit.n_bits
-        centered = model.cost_table - model.ising.identity
+        centered = circuit.cost_table - model.ising.identity
         start = np.exp(-1j * theta * centered) / np.sqrt(1 << n)
     dec = np.arange(1 << n) & 63
     expected = start * np.exp(-1j * theta * alpha * np.maximum(0, costs[dec] - 3))
@@ -514,31 +514,74 @@ def _two_constraint_model():
     return problem, (QAOA, QAOA), Multipliers.uniform(2, 13)
 
 
-def test_compiled_model_peak_memory_within_state_copies():
+def test_functional_circuit_peak_memory_within_held_arrays():
     problem, assignment, mult = _two_constraint_model()
     tracemalloc.start()
     try:
-        model = compiled_model.__wrapped__(problem, assignment, mult)  # bypass the cache
+        circuit = FunctionalCircuit(problem, assignment, mult)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n_bits = model.qubo.n_bits
-    assert n_bits >= 20
-    state_bytes = 16 << n_bits
-    assert peak <= 2.0 * state_bytes, peak / state_bytes
+    assert circuit.n_bits >= 20
+    # The circuit holds its cost table and the centered copy (8 * 2^n bytes
+    # each) and its initial block (16 * 2^n); building the table peaks at
+    # 16 * 2^n, before the other two exist.  The 1 MiB covers what is not
+    # 2^n_bits: the 2^n_vars decision-state arrays, the QUBO, the blocks.
+    held = circuit.cost_table.nbytes + circuit.centered.nbytes + circuit.initial.nbytes
+    assert held == 32 << circuit.n_bits
+    assert peak <= held + (1 << 20), peak / held
 
 
-def test_compiled_model_rejects_oversized_model_before_allocating():
+def test_functional_circuit_rejects_oversized_model_before_allocating():
     # Bound 2^40 needs 41 slack bits: 44 QUBO bits, a 128 TiB cost table.
     problem = ConstrainedBinaryProblem(3, (1, 1, 1), (Constraint((1, 1, 1), 1 << 40, "huge"),))
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match=f"44 bits.*{8 << 44} bytes.*{16 << 44} bytes"):
-            compiled_model(problem, (QAOA,), Multipliers.uniform(1, 1.0))
+            FunctionalCircuit(problem, (QAOA,), Multipliers.uniform(1, 1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+# Cargo family: weights 1..m on ``positions`` positions, max weight
+# sum // 2 + positions, lambda = 13, p = Q = 1.  (non-local gates, qubits) of
+# all-QAOA, weight-DEPHASE and weight-ZENO.  The weight penalty's two-qubit
+# phase terms grow with the square of its support, the adder and comparator
+# linearly, so all-QAOA needs the most non-local gates from between 35 and 48
+# variables on: the order criterion 6 expects, past its 6-variable instance.
+CROSSOVER = {
+    (3, 2): ((48, 14), (97, 16), (93, 16)),
+    (4, 3): ((144, 23), (209, 25), (204, 25)),
+    (5, 4): ((316, 33), (398, 36), (392, 36)),
+    (6, 5): ((621, 45), (672, 49), (665, 49)),
+    (7, 5): ((850, 52), (895, 56), (887, 56)),
+    (8, 6): ((1474, 67), (1200, 71), (1192, 71)),
+}
+
+
+@pytest.mark.parametrize("m, positions", CROSSOVER)
+def test_gate_counts_reach_the_criterion_6_crossover(m, positions):
+    weights = list(range(1, m + 1))
+    problem = cargo_instance(weights, positions, sum(weights) // 2 + positions)
+    rest = (QAOA,) * (problem.n_constraints - 1)
+    mult = Multipliers.uniform(problem.n_constraints, 13)
+    counts = []
+    for assignment in ((QAOA, *rest), (DEPHASE, *rest), (ZENO, *rest)):
+        compiled_model.cache_clear()  # count the compile too
+        tracemalloc.start()
+        try:
+            stats = circuit_stats(build_circuit(problem, assignment, mult, LayerParams.initial(1, 1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Up to 71 qubits: one 2^n array would not fit in memory at all.
+        assert peak < 2 << 20, (assignment[0], peak)
+        counts.append((stats.non_local_gates, stats.n_qubits))
+    assert tuple(counts) == CROSSOVER[m, positions]
+    all_qaoa, dephase, zeno = (non_local for non_local, _ in counts)
+    assert (all_qaoa > max(dephase, zeno)) == (problem.n_vars >= 48)
 
 
 def test_circuit_stats_empty_and_cnot():

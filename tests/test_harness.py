@@ -14,7 +14,9 @@ from zenopt import (
     OptimizerConfig,
     QAOA,
     ZENO,
+    build_circuit,
     cargo_instance,
+    circuit_stats,
     enumerate_assignments,
     lagrange_sweep,
     ordering_study,
@@ -70,6 +72,20 @@ def test_family_rows_survive_annihilated_search_points(index):
     assert math.isfinite(row.expected_cost)
     assert 0.0 <= row.p_optimal <= row.p_feasible <= 1.0
     assert 0.0 < row.survival_prob <= 1.0
+
+
+def test_sweep_row_past_capacity_keeps_its_stats():
+    # 20 cargo variables, all-QAOA: 33 QUBO bits, past MAX_QUBITS for the
+    # functional search, while the gate circuit still builds and counts.
+    weights = [1, 2, 3, 4, 5]
+    problem = cargo_instance(weights, 4, sum(weights) // 2 + 4)
+    assignment = (QAOA,) * problem.n_constraints
+    mult = Multipliers.uniform(problem.n_constraints, 13)
+    row = run_assignment(problem, assignment, mult, SWEEP_CONFIG)
+    assert row.stats == circuit_stats(build_circuit(problem, assignment, mult, SWEEP_CONFIG.init_params))
+    assert row.stats.n_qubits == 33
+    assert row.error.startswith("CapacityError: the compiled model has 33 bits"), row.error
+    assert math.isnan(row.expected_cost)
 
 
 def test_family_sweep_small_problem():
@@ -165,6 +181,12 @@ def test_zeno_demo_rows():
     assert abs(rows[1]["survival_empirical"] - np.cos(np.pi / 20) ** 20) < 1e-10
     with pytest.raises(InputError):
         zeno_demo_rows([])
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, 0, -3, True, "2"])
+def test_zeno_demo_rows_reject_non_integer_and_non_positive_counts(n):
+    with pytest.raises(InputError, match="measurement count must be"):
+        zeno_demo_rows([1, n])
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

@@ -23,6 +23,7 @@ from zenopt import (
     marginal_probabilities,
     optimize,
     prepare_initial_state,
+    qubo_values,
     run_circuit,
 )
 from zenopt.builder import compiled_model
@@ -62,8 +63,8 @@ def test_gate_and_oracle_metrics_agree():
     params = LayerParams((0.17,), (0.36,), 2)
     circuit = build_circuit(problem, WEIGHT_ZENO, MULT, params)
     state = run_circuit(circuit, prepare_initial_state(problem, WEIGHT_ZENO, circuit.layout))
-    model = compiled_model(problem, WEIGHT_ZENO, MULT)
-    gate_cost = marginal_probabilities(state, range(model.qubo.n_bits)) @ model.cost_table
+    qubo = compiled_model(problem, WEIGHT_ZENO, MULT).qubo
+    gate_cost = marginal_probabilities(state, range(qubo.n_bits)) @ qubo_values(qubo)
     feasible = sorted(brute_force_solve(problem).feasible_indices)
     gate_feasible = marginal_probabilities(state, range(problem.n_vars))[feasible].sum()
     functional = evaluate_params(problem, WEIGHT_ZENO, MULT, params)
@@ -297,7 +298,7 @@ def test_cached_model_arrays_are_read_only():
     params = LayerParams((0.3,), (0.2,), 2)
     before = evaluate_params(cargo(), WEIGHT_ZENO, MULT, params)
     model = compiled_model(cargo(), WEIGHT_ZENO, MULT)
-    for array in (model.cost_table, model.qubo.Q, model.qubo.B):
+    for array in (model.qubo.Q, model.qubo.B):
         with pytest.raises(ValueError, match="read-only"):
             array[0] += 1.0
     assert evaluate_params(cargo(), WEIGHT_ZENO, MULT, params) == before

@@ -7,6 +7,7 @@ from zenopt import (
     CapacityError,
     EmptySubspaceError,
     Gate,
+    InputError,
     Projection,
     ShapeError,
     Statevector,
@@ -188,6 +189,16 @@ def test_sampling_binomial_3sigma():
 def test_sampling_seed_reproducible():
     state = apply_gate(new_state(1), gate_h(0))
     assert sample(state, 10**5, seed=7) == sample(state, 10**5, seed=7)
+
+
+@pytest.mark.parametrize("shots, seed", [(2.5, 0), (0, 0), (True, 0), (4, -1), (4, 1.5), (4, None)])
+def test_sampling_rejects_non_integer_shots_and_seed(shots, seed):
+    with pytest.raises(InputError, match="(shots|seed) must be"):
+        sample(new_state(2), shots, seed)
+
+
+def test_sampling_accepts_numpy_integers():
+    assert sample(new_state(2), np.int64(3), np.int32(4)) == {"00": 3}
 
 
 def test_sampling_law_of_large_numbers():

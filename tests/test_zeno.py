@@ -184,6 +184,22 @@ def test_zeno_limit_error_accepts_state_outside_subspace():
         zeno_limit_error(h, proj, psi, 1.0, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, 0, -1, True, np.float64(3)])
+def test_measurement_count_must_be_a_positive_integer(n):
+    for call in (
+        lambda: survival_analytic(PAULI_X, KET_0, 1.0, n),
+        lambda: survival_empirical(PAULI_X, PROJ_0, KET_0, 1.0, n),
+        lambda: zeno_limit_error(PAULI_X, PROJ_0, KET_0, 1.0, n),
+    ):
+        with pytest.raises(ContractError, match="n_measurements must be"):
+            call()
+
+
+def test_measurement_count_accepts_numpy_integers():
+    expected = survival_empirical(PAULI_X, PROJ_0, KET_0, 1.0, 4)
+    assert survival_empirical(PAULI_X, PROJ_0, KET_0, 1.0, np.int64(4)) == expected
+
+
 def test_contract_errors():
     nonherm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ContractError):
