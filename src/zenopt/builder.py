@@ -11,10 +11,11 @@ when no constraint is Zeno-assigned.
 
 These gate circuits are the reference and the source of circuit statistics;
 searches run the same layers on the ancilla-free functional backend
-(``functional.py``), which shares ``compiled_model``, ``block_order`` and
-``mixer_targets`` with them.  The compiled model holds no 2^n table, so
-building and counting a circuit takes memory polynomial in its qubits; only
-a state (``new_state``) or the functional backend's cost table is 2^n.
+(``functional.py``), which shares ``compiled_model``, ``block_order``,
+``mixer_targets`` and ``initial_row``, the one 2^n_vars row both backends
+broadcast over the slack values, with them.  The compiled model holds no 2^n
+table, so building and counting a circuit takes memory polynomial in its
+qubits; only a state or the functional backend's cost table is 2^n.
 """
 
 from __future__ import annotations
@@ -321,13 +322,12 @@ def build_circuit(
     return HybridCircuit(layout, gates, projections, 2 * params.p_layers)
 
 
-def write_initial_block(problem: ConstrainedBinaryProblem, assignment, block: np.ndarray) -> None:
-    """Both backends' initial state: overwrite a (2^n_slack, 2^n_vars) ``block``
-    with the uniform superposition over the decision states that satisfy every
-    ZENO constraint, for every slack value, as one broadcast row.  x = 0 always
-    satisfies them (coefficients and bounds are >= 0), so it is never empty."""
+def initial_row(problem: ConstrainedBinaryProblem, assignment, n_rows: int) -> np.ndarray:
+    """The complex 2^n_vars row each of ``n_rows`` slack values repeats in both
+    backends' initial state: uniform over the decision states that satisfy
+    every ZENO constraint, never empty, as x = 0 satisfies them (a, b >= 0)."""
     feasible = feasible_mask(problem, [ci for ci, kind in enumerate(assignment) if kind == ZENO])
-    block[...] = np.where(feasible, 1.0 / np.sqrt(feasible.sum() * block.shape[0]), 0.0)
+    return np.where(feasible, 1.0 / np.sqrt(feasible.sum() * n_rows), 0j)
 
 
 def prepare_initial_state(
@@ -339,12 +339,12 @@ def prepare_initial_state(
 
     Written directly, with no gate: ``build_layout`` puts the k decision and
     slack qubits on qubits 0..k-1 (any other layout raises LayoutError), so
-    the first 2**k amplitudes of a state from ``new_state`` (which raises
-    CapacityError before it allocates) read as the (2**n_slack, 2**n_vars)
-    block ``write_initial_block`` fills, with clean ancillas.  This equals the
-    Hadamard wall followed by each ZENO flag circuit computed, projected onto
-    0 and uncomputed.  The pre-run post-selection is state preparation, so
-    survival_prob is 1 and then tracks only the circuit's own projections.
+    ``initial_row`` is broadcast into the first 2**k amplitudes of a state
+    from ``new_state``, read as a (2**n_slack, 2**n_vars) block; ancillas
+    stay clean.  This equals the Hadamard wall followed by each ZENO flag
+    circuit computed, projected onto 0 and uncomputed.  The pre-run
+    post-selection is state preparation, so survival_prob is 1 and then
+    tracks only the circuit's own projections.
     """
     k = len(layout.decision) + len(layout.slack)
     if (*layout.decision, *layout.slack) != tuple(range(k)):
@@ -353,7 +353,7 @@ def prepare_initial_state(
         )
     state = new_state(layout.n_qubits)
     block = state.amplitudes[: 1 << k].reshape(1 << len(layout.slack), 1 << len(layout.decision))
-    write_initial_block(problem, assignment, block)
+    block[...] = initial_row(problem, assignment, block.shape[0])
     return state
 
 

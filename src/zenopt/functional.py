@@ -9,20 +9,20 @@ order, as
 - phase return: psi *= exp(-i*gamma*(cost - identity));
 - dephasing block: psi *= exp(-i*gamma*alpha*max(0, a.x - b));
 - Zeno sub-block, Q per block: RX(beta/Q) on every decision bit, then the
-  projection onto a.x <= b, renormalized, its probability multiplied into
-  the survival;
+  projection onto a.x <= b in place (dropped columns zeroed, psi divided by
+  the root of the kept probability), which is multiplied into the survival;
 - mixer wall: RX(beta) on the builder's mixer targets.
 
-The initial state is uniform over the decision states that satisfy every
-ZENO constraint, for every slack value; one rule, ``write_initial_block``,
-writes it for both backends.  No circuit is built per run: a
-``FunctionalCircuit`` builds and owns its cost table (``qubo_values`` of the
-compiled QUBO), takes its blocks' excess rows and Zeno masks from the
-problem's cached ``constraint_excess`` table, and runs any angles.  A model
-over more than ``MAX_QUBITS`` bits raises CapacityError before the table, a
-state or the solution masks is allocated.  The gate backend stays the
-reference; its ancilla-zero slice is what these amplitudes are tested
-against.
+The initial state is one row, uniform over the decision states that satisfy
+every ZENO constraint, repeated for every slack value; ``initial_row`` builds
+it for both backends.  A ``FunctionalCircuit`` holds one 2^n array, its cost
+table (``qubo_values``: 8 * 2^n bytes, 16 * 2^n while built), and 2^n_vars
+arrays: its complex initial row (16 * 2^n_vars bytes), the solution masks,
+and its blocks' excess rows and Zeno masks.  A run allocates psi (16 * 2^n
+bytes) and, per phase return, two complex 2^n temporaries: 48 * 2^n at its
+peak.  Over ``MAX_QUBITS`` bits, CapacityError is raised before any of these
+exists.  The gate backend is the reference: its ancilla-zero slice is what
+these amplitudes are tested against.
 
 The run metrics are defined here, once: ``FunctionalCircuit.metrics`` reads
 the expected compiled cost and the probabilities that the decision bits are
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .builder import NATURAL, LayerParams, block_order, compiled_model, mixer_targets, write_initial_block
+from .builder import NATURAL, LayerParams, block_order, compiled_model, initial_row, mixer_targets
 from .errors import CapacityError, EmptySubspaceError
 from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess, solution_masks
 from .problem import qubo_values
@@ -82,8 +82,8 @@ class FunctionalCircuit:
         self.n_vars = problem.n_vars
         self.n_bits = n
         self.alpha = mult.alpha
+        self.identity = model.ising.identity
         self.cost_table = qubo_values(model.qubo)  # QUBO value per decision+slack index
-        self.centered = (self.cost_table - model.ising.identity).reshape(-1, 1 << self.n_vars)
         self.decision = model.layout.decision
         self.feasible, self.optimal = solution_masks(problem)
         self.mixer = mixer_targets(assignment, model.layout)
@@ -94,8 +94,7 @@ class FunctionalCircuit:
             projects = assignment[ci] == ZENO and not keep.all()
             name = f"{ci} ({problem.constraints[ci].label!r})"
             self.blocks.append(_Block(assignment[ci], name, excess[ci], keep if projects else None))
-        self.initial = np.empty(self.centered.shape, dtype=np.complex128)
-        write_initial_block(problem, assignment, self.initial)
+        self.initial = initial_row(problem, assignment, 1 << (n - self.n_vars))
 
     def _rx_wall(self, psi: np.ndarray, qubits, angle: float) -> None:
         for q in qubits:
@@ -107,11 +106,11 @@ class FunctionalCircuit:
         Raises EmptySubspaceError, naming the constraint, layer and sub-block,
         when a Zeno projection has probability at most ``ANNIHILATION_PROB``.
         """
-        psi = self.initial.copy()
+        psi = np.tile(self.initial, (1 << (self.n_bits - self.n_vars), 1))
         survival = 1.0
         q_meas = params.q_measurements
         for p, (gamma, beta) in enumerate(zip(params.gamma, params.beta)):
-            psi *= np.exp(-1j * gamma * self.centered)
+            psi *= np.exp(-1j * gamma * (self.cost_table - self.identity).reshape(psi.shape))
             for block in self.blocks:
                 if block.kind == DEPHASE:
                     psi *= np.exp(-1j * gamma * self.alpha * block.excess)
@@ -127,7 +126,8 @@ class FunctionalCircuit:
                             f"{p + 1}/{params.p_layers}, sub-block {q + 1}/{q_meas} "
                             f"has probability {prob:.3e}"
                         )
-                    psi = np.where(block.keep, psi, 0.0) / np.sqrt(prob)
+                    psi[:, ~block.keep] = 0.0
+                    psi /= np.sqrt(prob)
                     survival *= prob
             self._rx_wall(psi, self.mixer, beta)
         return Statevector(self.n_bits, psi.reshape(-1), survival)

@@ -35,6 +35,13 @@ class Constraint:
     label: str = ""
 
 
+def _check_int64(value: int, what: str) -> None:
+    """InputError unless ``value`` fits int64, in which the exact enumeration
+    (``subset_sums``) adds up objectives and constraint sums."""
+    if value > np.iinfo(np.int64).max:
+        raise InputError(f"{what} is {value}, more than 2^63 - 1")
+
+
 @dataclass(frozen=True)
 class ConstrainedBinaryProblem:
     """Maximize objective . x subject to a list of <= constraints."""
@@ -45,11 +52,12 @@ class ConstrainedBinaryProblem:
     var_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        check_int(self.n_vars, "n_vars")
+        check_int(self.n_vars, "n_vars", 1)
         if len(self.objective) != self.n_vars:
             raise InputError("objective length must equal n_vars")
         for i, c in enumerate(self.objective):
             check_int(c, f"objective entry {i}")
+        _check_int64(sum(abs(int(c)) for c in self.objective), "the sum of |objective entries|")
         for con in self.constraints:
             if len(con.coeffs) != self.n_vars:
                 raise InputError(f"constraint {con.label!r} has wrong coefficient count")
@@ -62,6 +70,8 @@ class ConstrainedBinaryProblem:
             # registers hold a.x, so both assume a.x >= 0.
             if any(c < 0 for c in con.coeffs):
                 raise InputError(f"constraint {con.label!r} has a negative coefficient")
+            _check_int64(con.bound, f"constraint {con.label!r} bound")
+            _check_int64(sum(int(a) for a in con.coeffs), f"constraint {con.label!r} coefficient sum")
         if self.var_labels and len(self.var_labels) != self.n_vars:
             raise InputError("var_labels length must equal n_vars")
 
@@ -104,7 +114,7 @@ def cargo_instance(weights: list[int], n_positions: int, max_weight: int) -> Con
     """
     if not weights:
         raise InputError("weights must be non-empty")
-    check_int(n_positions, "n_positions")
+    check_int(n_positions, "n_positions", 1)
     if max_weight < 0:
         raise InputError("max_weight must be >= 0")
     n_cargo = len(weights)

@@ -364,11 +364,13 @@ def test_prepare_initial_state_matches_gates_folded():
         gap = np.max(np.abs(state.amplitudes - folded.amplitudes))
         assert gap <= 1e-12, (problem, assignment, gap)
         assert state.survival_prob == 1.0
-        # The decision-and-slack block is the functional backend's initial
-        # state, bit for bit; every ancilla branch is exactly 0.
-        initial = FunctionalCircuit(problem, assignment, mult).initial.reshape(-1)
-        assert np.array_equal(state.amplitudes[: len(initial)], initial), (problem, assignment)
-        assert not state.amplitudes[len(initial) :].any()
+        # Every slack row of the decision-and-slack block is the functional
+        # backend's initial row, bit for bit; every ancilla branch is exactly 0.
+        row = FunctionalCircuit(problem, assignment, mult).initial
+        k = len(layout.decision) + len(layout.slack)
+        block = state.amplitudes[: 1 << k].reshape(-1, len(row))
+        assert block.tobytes() == np.broadcast_to(row, block.shape).tobytes(), (problem, assignment)
+        assert not state.amplitudes[1 << k :].any()
 
 
 @pytest.mark.parametrize(
@@ -523,13 +525,37 @@ def test_functional_circuit_peak_memory_within_held_arrays():
     finally:
         tracemalloc.stop()
     assert circuit.n_bits >= 20
-    # The circuit holds its cost table and the centered copy (8 * 2^n bytes
-    # each) and its initial block (16 * 2^n); building the table peaks at
-    # 16 * 2^n, before the other two exist.  The 1 MiB covers what is not
-    # 2^n_bits: the 2^n_vars decision-state arrays, the QUBO, the blocks.
-    held = circuit.cost_table.nbytes + circuit.centered.nbytes + circuit.initial.nbytes
-    assert held == 32 << circuit.n_bits
-    assert peak <= held + (1 << 20), peak / held
+    # The circuit holds one 2^n array, its cost table (8 * 2^n bytes), and
+    # its initial row of 2^n_vars complex amplitudes.  Building the table
+    # peaks at twice the table (``qubo_values``).  The 1 MiB covers what is
+    # not 2^n_bits: the 2^n_vars decision-state arrays, the QUBO, the blocks.
+    held = circuit.cost_table.nbytes + circuit.initial.nbytes
+    assert held == (8 << circuit.n_bits) + (16 << circuit.n_vars)
+    assert peak <= (16 << circuit.n_bits) + (1 << 20), peak / held
+
+
+def test_functional_run_peak_memory_within_its_arrays():
+    """One run of a 20-bit ZENO model allocates its state psi (16 * 2^n
+    bytes), and at most two complex 2^n temporaries beside it: the phase
+    return's exponent and its exp (the float cost_table - identity before
+    them is freed first).  The Zeno probability read copies at most one state
+    and its squared moduli, the projection works in place, and an RX wall
+    takes at most one state of temporaries.  So the peak is 48 * 2^n bytes
+    plus 1 MiB for what is not 2^n, and the run leaves only psi behind."""
+    base, _, _ = _two_constraint_model()
+    zeno = Constraint((1, 1, 1, 1, 1, 1), 3, "zeno")
+    problem = ConstrainedBinaryProblem(6, base.objective, (*base.constraints, zeno))
+    circuit = FunctionalCircuit(problem, (QAOA, QAOA, ZENO), Multipliers.uniform(3, 13))
+    assert circuit.n_bits >= 20 and circuit.blocks[0].keep is not None
+    tracemalloc.start()
+    try:
+        state = circuit.run(LayerParams((0.3,), (0.7,), 2))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < state.survival_prob < 1.0
+    assert peak <= (48 << circuit.n_bits) + (1 << 20), peak / (16 << circuit.n_bits)
+    assert current <= (16 << circuit.n_bits) + (1 << 20), current / (16 << circuit.n_bits)
 
 
 def test_functional_circuit_rejects_oversized_model_before_allocating():

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -430,6 +431,20 @@ def test_cli_rejects_non_integer_problem_numbers(tmp_path, capsys):
     path.write_text('{"objective": [1.5, true], "constraints": [{"coeffs": [2.9, 1], "bound": 2.7}]}')
     assert main(["solve", "--problem", str(path), "--assign", "QAOA"]) == 2
     assert "objective entry 0 must be a JSON integer, got 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"objective": [1, 1, 1], "constraints": [{"coeffs": [2**62] * 3, "bound": 2**62, "label": "w"}]},
+     f"constraint 'w' coefficient sum is {3 * 2**62}, more than 2^63 - 1"),
+    ({"objective": [10**30], "constraints": [{"coeffs": [1], "bound": 1}]},
+     f"the sum of |objective entries| is {10**30}, more than 2^63 - 1"),
+    ({"objective": [], "constraints": []}, "n_vars must be >= 1, got 0"),
+], ids=["coefficient-sum", "objective-sum", "no-variables"])
+def test_cli_rejects_problems_the_enumeration_cannot_hold(doc, message, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--problem", str(path), "--assign", "ZENO"]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
 
 
 def test_cli_oversized_model_exits_3(tmp_path, capsys):

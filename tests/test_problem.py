@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -381,3 +382,44 @@ def test_numpy_integer_problem_numbers_are_accepted():
     coeffs = tuple(np.arange(1, 4))
     problem = ConstrainedBinaryProblem(np.int64(3), coeffs, (Constraint(coeffs, np.int32(3)),))
     assert brute_force_solve(problem).opt_value == 3
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConstrainedBinaryProblem(3, (1, 1, 1), (Constraint((2**62,) * 3, 2**62, "c"),)),
+     f"constraint 'c' coefficient sum is {3 * 2**62}, more than 2^63 - 1"),
+    (lambda: ConstrainedBinaryProblem(3, (2**62,) * 3, ()),
+     f"the sum of |objective entries| is {3 * 2**62}, more than 2^63 - 1"),
+    (lambda: ConstrainedBinaryProblem(2, (2**62, -(2**62)), ()),
+     f"the sum of |objective entries| is {2**63}, more than 2^63 - 1"),
+    (lambda: ConstrainedBinaryProblem(2, (10**30, 1), ()),
+     f"the sum of |objective entries| is {10**30 + 1}, more than 2^63 - 1"),
+    (lambda: ConstrainedBinaryProblem(1, (1,), (Constraint((1,), 2**63, "c"),)),
+     f"constraint 'c' bound is {2**63}, more than 2^63 - 1"),
+], ids=["coefficient-sum", "objective-sum", "objective-abs-sum", "objective-1e30", "bound"])
+def test_problems_reject_sums_beyond_int64(build, message):
+    # subset_sums enumerates a.x and objective . x in int64: past 2^63 - 1
+    # it wrapped (state 7 of the first problem read feasible) or raised
+    # OverflowError from numpy.
+    with pytest.raises(InputError, match=re.escape(message)):
+        build()
+
+
+def test_sums_at_int64_max_enumerate_exactly():
+    top = 2**63 - 1
+    weights = (2**62, 2**62 - 1)
+    problem = ConstrainedBinaryProblem(2, weights, (Constraint(weights, 2**62, "c"),))
+    assert sum(weights) == top
+    result = brute_force_solve(problem)
+    assert result.feasible_indices == {0, 1, 2}
+    assert (result.opt_value, result.optimal_indices) == (2**62, {1})
+    assert constraint_excess(problem)[0].tolist() == [0, 0, 0, top - 2**62]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConstrainedBinaryProblem(0, (), ()), "n_vars must be >= 1, got 0"),
+    (lambda: cargo_instance([1, 2], 0, 3), "n_positions must be >= 1, got 0"),
+    (lambda: problem_from_json('{"objective": [], "constraints": []}'), "n_vars must be >= 1, got 0"),
+], ids=["python", "cargo", "json"])
+def test_problems_need_a_variable(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
