@@ -90,6 +90,7 @@ class LayerParams:
 
     @staticmethod
     def initial(p_layers: int = 1, q_measurements: int = 1) -> "LayerParams":
+        check_int(p_layers, "p_layers", 1)
         return LayerParams((0.1,) * p_layers, (0.1,) * p_layers, q_measurements)
 
 
@@ -411,7 +412,7 @@ def circuit_to_json(circuit: HybridCircuit) -> str:
     gates = []
     for g in circuit.gates:
         entry: dict = {"kind": g.kind, "qubits": list(g.qubits)}
-        if g.kind in ("RX", "RZ", "RZZ", "CPHASE"):
+        if g.has_angle:
             entry["angle"] = g.angle
         gates.append(entry)
     doc = {

@@ -20,9 +20,11 @@ table (``qubo_values``: 8 * 2^n bytes, 16 * 2^n while built), and 2^n_vars
 arrays: its complex initial row (16 * 2^n_vars bytes), the solution masks,
 and its blocks' excess rows and Zeno masks.  A run allocates psi (16 * 2^n
 bytes) and, per phase return, two complex 2^n temporaries: 48 * 2^n at its
-peak.  Over ``MAX_QUBITS`` bits, CapacityError is raised before any of these
-exists.  The gate backend is the reference: its ancilla-zero slice is what
-these amplitudes are tested against.
+peak.  Every limit is checked before any 2^n array exists: CapacityError
+for more than ``MAX_QUBITS`` bits, or, from the solution masks built first,
+for more than ``BRUTE_FORCE_MAX_VARS`` variables.  The gate backend is the
+reference: its ancilla-zero slice is what these amplitudes are tested
+against.
 
 The run metrics are defined here, once: ``FunctionalCircuit.metrics`` reads
 the expected compiled cost and the probabilities that the decision bits are
@@ -83,9 +85,9 @@ class FunctionalCircuit:
         self.n_bits = n
         self.alpha = mult.alpha
         self.identity = model.ising.identity
+        self.feasible, self.optimal = solution_masks(problem)  # enumeration limit before the table
         self.cost_table = qubo_values(model.qubo)  # QUBO value per decision+slack index
         self.decision = model.layout.decision
-        self.feasible, self.optimal = solution_masks(problem)
         self.mixer = mixer_targets(assignment, model.layout)
         excess = constraint_excess(problem)
         self.blocks = []

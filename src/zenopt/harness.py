@@ -36,7 +36,7 @@ from .zeno import survival_analytic, survival_empirical, zeno_limit_error
 
 MAX_FAMILY_CONSTRAINTS = 8
 
-SWEEP_CONFIG = OptimizerConfig(max_iters=40)  # family, Lagrange and ordering studies
+SWEEP_CONFIG = OptimizerConfig(max_iters=40)  # the family sweep's shorter searches
 
 FAMILY_CSV_COLUMNS = [
     "assignment", "non_local", "qubits", "clbits", "depth", "width", "size",
@@ -60,6 +60,7 @@ class SweepResult:
 def enumerate_assignments(n_constraints: int) -> list[tuple[str, ...]]:
     """All 3^n representation assignments in lexicographic order
     (QAOA < DEPHASE < ZENO per constraint)."""
+    check_int(n_constraints, "n_constraints", 0)
     if n_constraints > MAX_FAMILY_CONSTRAINTS:
         raise CapacityError(
             f"family enumeration capped at {MAX_FAMILY_CONSTRAINTS} constraints"
@@ -74,38 +75,18 @@ def run_assignment(
     config: OptimizerConfig,
     ordering: str = NATURAL,
 ) -> SweepResult:
-    """Optimize one assignment and collect its stats row."""
+    """Optimize one assignment and collect its stats row; a ZenoptError ends
+    the row with NaN metrics and the error, keeping any stats already built."""
     assignment = tuple(assignment)
     start = time.perf_counter()
-    stats = None
+    stats, final, error = None, EvalResult(*(math.nan,) * 4), ""
     try:
         stats = circuit_stats(build_circuit(problem, assignment, mult, config.init_params, ordering))
-        trace = optimize(problem, assignment, mult, config, ordering)
-        return SweepResult(
-            assignment,
-            stats,
-            trace.final.expected_cost,
-            trace.final.p_feasible,
-            trace.final.p_optimal,
-            trace.final.survival_prob,
-            time.perf_counter() - start,
-        )
+        final = optimize(problem, assignment, mult, config, ordering).final
     except ZenoptError as exc:
-        return SweepResult(
-            assignment,
-            stats,
-            math.nan,
-            math.nan,
-            math.nan,
-            math.nan,
-            time.perf_counter() - start,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def _family_row(args) -> SweepResult:
-    problem, assignment, mult, config, ordering = args
-    return run_assignment(problem, assignment, mult, config, ordering)
+        error = f"{type(exc).__name__}: {exc}"
+    # EvalResult lists the four metrics in SweepResult's order.
+    return SweepResult(assignment, stats, *final, time.perf_counter() - start, error)
 
 
 def run_family_sweep(
@@ -117,10 +98,12 @@ def run_family_sweep(
 ) -> list[SweepResult]:
     """One optimized row per assignment; per-row failures land in the row.
 
-    Row i uses seed config.seed + i.  With workers > 1 the rows run in a
-    process pool; results are gathered in assignment (index) order and are
-    identical to a serial run.
+    Row i uses seed config.seed + i.  ``workers`` is None or an integer
+    >= 1; above 1 the rows run in a process pool, and results are gathered
+    in assignment (index) order, identical to a serial run.
     """
+    if workers is not None:
+        check_int(workers, "workers", 1)
     jobs = [
         (problem, assignment, mult, replace(config, seed=config.seed + i), ordering)
         for i, assignment in enumerate(enumerate_assignments(problem.n_constraints))
@@ -128,15 +111,15 @@ def run_family_sweep(
     if workers is not None and workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: it slows every import
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_family_row, jobs, chunksize=8))
-    return [_family_row(job) for job in jobs]
+            return list(pool.map(run_assignment, *zip(*jobs), chunksize=8))
+    return list(map(run_assignment, *zip(*jobs)))
 
 
 def lagrange_sweep(
     problem: ConstrainedBinaryProblem,
     assignment,
     lambdas,
-    config: OptimizerConfig = SWEEP_CONFIG,
+    config: OptimizerConfig = OptimizerConfig(),
     ordering: str = NATURAL,
 ) -> list[tuple[float, EvalResult]]:
     """Optimized run metrics per Lagrange multiplier value."""
@@ -177,7 +160,7 @@ def ordering_study(
     problem: ConstrainedBinaryProblem,
     assignment,
     mult: Multipliers,
-    config: OptimizerConfig = SWEEP_CONFIG,
+    config: OptimizerConfig = OptimizerConfig(),
     reoptimize: bool = False,
 ) -> dict[str, EvalResult]:
     """Metrics of the same assignment under each block ordering.

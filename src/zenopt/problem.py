@@ -96,6 +96,7 @@ class Multipliers:
 
     @staticmethod
     def uniform(n_constraints: int, lam: float, alpha: float | None = None) -> "Multipliers":
+        check_int(n_constraints, "n_constraints", 0)
         return Multipliers((float(lam),) * n_constraints, float(lam if alpha is None else alpha))
 
 
@@ -189,27 +190,21 @@ def compile_qubo(problem: ConstrainedBinaryProblem, assignment, mult: Multiplier
         raise InputError("assignment length must equal the number of constraints")
     if len(mult.lambdas) != problem.n_constraints:
         raise InputError("multiplier count must equal the number of constraints")
-    slack_map: dict[int, tuple[int, ...]] = {}
-    next_bit = problem.n_vars
-    for ci, (con, kind) in enumerate(zip(problem.constraints, assignment)):
-        if kind != QAOA:
-            continue
-        width = slack_width(con.bound)
-        slack_map[ci] = tuple(range(next_bit, next_bit + width))
-        next_bit += width
-    n_bits = next_bit
-
+    qaoa = [ci for ci, kind in enumerate(assignment) if kind == QAOA]
+    n_bits = problem.n_vars + sum(slack_width(problem.constraints[ci].bound) for ci in qaoa)
     Q = np.zeros((n_bits, n_bits))
     B = np.zeros(n_bits)
     const = 0.0
     B[: problem.n_vars] = [-c for c in problem.objective]
-    for ci, (con, kind) in enumerate(zip(problem.constraints, assignment)):
-        if kind != QAOA:
-            continue
-        lam = mult.lambdas[ci]
+    slack_map: dict[int, tuple[int, ...]] = {}
+    next_bit = problem.n_vars
+    for ci in qaoa:
+        con, lam = problem.constraints[ci], mult.lambdas[ci]
+        slack_map[ci] = bits = tuple(range(next_bit, next_bit + slack_width(con.bound)))
+        next_bit += len(bits)
         coeffs = np.zeros(n_bits)
         coeffs[: problem.n_vars] = con.coeffs
-        for k, bit in enumerate(slack_map[ci]):
+        for k, bit in enumerate(bits):
             coeffs[bit] = 2**k
         Q += lam * np.outer(coeffs, coeffs)
         B += -2.0 * lam * con.bound * coeffs

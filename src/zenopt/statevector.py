@@ -4,6 +4,11 @@ Qubit 0 is the least significant bit of a basis index; basis strings are
 printed most-significant qubit first.  All operations are pure: they return
 new ``Statevector`` values and never mutate their arguments.
 
+A ``Gate`` checks its kind, its arity and that its qubits are distinct
+when it is built, from one table that gives each kind its fewest and most
+qubits and whether it takes an angle; a ``Projection`` checks its outcome.
+The kernels check only that the qubits are in range.
+
 Kernels keep no caches.  A gate on two or more qubits acts on a strided view
 of the amplitudes read as one axis per qubit (qubit q is axis n-1-q), with
 the qubits it conditions on pinned to a bit; single-qubit gates and
@@ -63,7 +68,11 @@ CNOT = "CNOT"
 CPHASE = "CPHASE"
 MCX = "MCX"
 
-GATE_KINDS = frozenset({H, X, RX, RZ, RZZ, CNOT, CPHASE, MCX})
+# Gate kind -> (fewest qubits, most qubits or None for any, takes an angle).
+_GATE_RULES = {
+    H: (1, 1, False), X: (1, 1, False), RX: (1, 1, True), RZ: (1, 1, True),
+    RZZ: (2, 2, True), CNOT: (2, 2, False), CPHASE: (1, None, True), MCX: (2, None, False),
+}
 
 # The gate kinds a diagonal run may hold; the widest span, in qubits, of a
 # fused run of single-qubit gates (16 x 16: such a run is a Kronecker
@@ -114,16 +123,22 @@ class Gate:
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _GATE_RULES:
             raise ShapeError(f"unknown gate kind {self.kind!r}")
+        fewest, most, _ = _GATE_RULES[self.kind]
+        if not fewest <= len(self.qubits) <= (most or len(self.qubits)):
+            arity = f"exactly {fewest}" if most else f"at least {fewest}"
+            raise ShapeError(f"{self.kind} acts on {arity} qubit(s), got {self.qubits}")
         if len(set(self.qubits)) != len(self.qubits):
             raise ShapeError(f"duplicate qubit in {self.kind} gate: {self.qubits}")
 
+    @property
+    def has_angle(self) -> bool:
+        return _GATE_RULES[self.kind][2]
+
     def inverse(self) -> "Gate":
         """Gate with the inverse action (self-inverse or negated angle)."""
-        if self.kind in (H, X, CNOT, MCX):
-            return self
-        return Gate(self.kind, self.qubits, -self.angle)
+        return Gate(self.kind, self.qubits, -self.angle) if self.has_angle else self
 
 
 def gate_h(q: int) -> Gate:
@@ -172,6 +187,10 @@ class Projection:
     qubit: int
     outcome: int = 0
 
+    def __post_init__(self):
+        if self.outcome not in (0, 1):
+            raise ShapeError(f"outcome must be 0 or 1, got {self.outcome}")
+
 
 @dataclass(frozen=True)
 class Statevector:
@@ -213,6 +232,7 @@ def new_state(n_qubits: int) -> Statevector:
     The state takes 16 * 2**n bytes; see the module docstring for the copies
     a gate run holds on top of it.
     """
+    check_int(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= MAX_QUBITS:
         size = f" ({(16 << n_qubits) / 2**30:g} GiB per state)" if n_qubits > 0 else ""
         raise CapacityError(
@@ -228,24 +248,6 @@ def new_state(n_qubits: int) -> Statevector:
 def basis_string(index: int, n_qubits: int) -> str:
     """Basis index as a bit string, qubit 0 rightmost."""
     return format(index, f"0{n_qubits}b")
-
-
-def _check_gate(gate: Gate, n_qubits: int) -> None:
-    for q in gate.qubits:
-        if not 0 <= q < n_qubits:
-            raise ShapeError(
-                f"{gate.kind} gate qubit {q} out of range for {n_qubits}-qubit state"
-            )
-    if gate.kind in (RX, RZ, H, X) and len(gate.qubits) != 1:
-        raise ShapeError(f"{gate.kind} acts on exactly one qubit, got {gate.qubits}")
-    if gate.kind == RZZ and len(gate.qubits) != 2:
-        raise ShapeError(f"RZZ acts on exactly two qubits, got {gate.qubits}")
-    if gate.kind == CNOT and len(gate.qubits) != 2:
-        raise ShapeError(f"CNOT acts on exactly two qubits, got {gate.qubits}")
-    if gate.kind == MCX and len(gate.qubits) < 2:
-        raise ShapeError(f"MCX needs at least one control, got {gate.qubits}")
-    if gate.kind == CPHASE and len(gate.qubits) < 1:
-        raise ShapeError("CPHASE needs at least one qubit")
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
@@ -297,7 +299,7 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
         t = lo.copy()
         lo[...] = hi
         hi[...] = t
-    else:  # pragma: no cover - guarded by GATE_KINDS
+    else:  # pragma: no cover - guarded by Gate.__post_init__
         raise ShapeError(f"unknown gate kind {kind!r}")
 
 
@@ -359,8 +361,10 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
     """
     run: list[Gate] = []
     for gate in gates:
-        _check_gate(gate, n_qubits)
         g_lo, g_hi = min(gate.qubits), max(gate.qubits)
+        if g_lo < 0 or g_hi >= n_qubits:
+            q = g_lo if g_lo < 0 else g_hi
+            raise ShapeError(f"{gate.kind} gate qubit {q} out of range for {n_qubits}-qubit state")
         g_diagonal, g_entangling = gate.kind in _DIAGONAL, len(gate.qubits) > 1
         if run:
             new_lo, new_hi = min(lo, g_lo), max(hi, g_hi)
@@ -444,8 +448,6 @@ def _project(amps: np.ndarray, n_qubits: int, projection: Projection) -> float:
     qubit, outcome = projection.qubit, projection.outcome
     if not 0 <= qubit < n_qubits:
         raise ShapeError(f"qubit {qubit} out of range")
-    if outcome not in (0, 1):
-        raise ShapeError(f"outcome must be 0 or 1, got {outcome}")
     view = amps.reshape(-1, 2, 1 << qubit)
     kept = view[:, outcome, :]
     rows = max(1, _SPAN_CHUNK >> qubit)

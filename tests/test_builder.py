@@ -275,6 +275,13 @@ def test_layer_params_reject_non_finite_angles(gamma, beta, message):
         LayerParams(gamma, beta)
 
 
+def test_initial_layer_params_need_an_integer_layer_count():
+    for p in (2.5, True, 0):
+        with pytest.raises(InputError, match="^p_layers must be"):
+            LayerParams.initial(p)
+    assert LayerParams.initial(np.int64(2)).p_layers == 2
+
+
 def test_build_circuit_validation():
     problem = cargo()
     with pytest.raises(InputError):
@@ -565,6 +572,21 @@ def test_functional_circuit_rejects_oversized_model_before_allocating():
     try:
         with pytest.raises(CapacityError, match=f"44 bits.*{8 << 44} bytes.*{16 << 44} bytes"):
             FunctionalCircuit(problem, (QAOA,), Multipliers.uniform(1, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_functional_circuit_checks_the_enumeration_limit_before_the_cost_table():
+    # 25 variables and one ZENO constraint: 25 bits fit MAX_QUBITS, but the
+    # brute-force masks stop at BRUTE_FORCE_MAX_VARS = 24 variables, before
+    # the 8 * 2^25-byte cost table is built.
+    problem = ConstrainedBinaryProblem(25, (1,) * 25, (Constraint((1,) * 25, 3, "w"),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="^enumeration capped at 24 vars, got 25$"):
+            FunctionalCircuit(problem, (ZENO,), Multipliers.uniform(1, 1.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 
@@ -60,6 +61,21 @@ def test_enumerate_assignments_six():
 def test_enumerate_assignments_capacity():
     with pytest.raises(CapacityError):
         enumerate_assignments(9)
+
+
+def test_enumerate_assignments_needs_an_integer_count():
+    for n in (-1, 2.5, True):
+        with pytest.raises(InputError, match="^n_constraints must be"):
+            enumerate_assignments(n)
+    assert enumerate_assignments(np.int64(1)) == [(QAOA,), (DEPHASE,), (ZENO,)]
+
+
+@pytest.mark.parametrize("workers", [-3, 0, 2.5, True])
+def test_family_sweep_rejects_a_bad_worker_count(workers):
+    mult, config = Multipliers.uniform(3, 3.0), OptimizerConfig(max_iters=2)
+    with pytest.raises(InputError, match="^workers must be"):
+        run_family_sweep(tiny(), mult, config, workers=workers)
+    assert run_family_sweep(tiny(), mult, config, workers=np.int64(1))[0].assignment == (QAOA,) * 3
 
 
 @pytest.mark.parametrize("index", [610, 634])
@@ -270,6 +286,20 @@ def test_cli_solve_writes_trace(cargo_json, tmp_path, capsys):
 def test_cli_iters_default_comes_from_the_library(argv, iters):
     args = build_parser().parse_args([*argv, "--problem", "p.json", "--out", "x.csv"])
     assert args.iters == iters
+
+
+@pytest.mark.parametrize(
+    "argv, study",
+    [
+        (["sweep-family"], run_family_sweep),
+        (["sweep-lagrange", "--assign", "QAOA", "--lambdas", "1"], lagrange_sweep),
+        (["ordering", "--assign", "QAOA"], ordering_study),
+    ],
+    ids=["sweep-family", "sweep-lagrange", "ordering"],
+)
+def test_cli_study_iters_default_is_the_library_default(argv, study):
+    args = build_parser().parse_args([*argv, "--problem", "p.json", "--out", "x.csv"])
+    assert args.iters == inspect.signature(study).parameters["config"].default.max_iters
 
 
 def test_cli_family_sweep_csv_columns(tmp_path, capsys):

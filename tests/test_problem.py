@@ -96,6 +96,24 @@ def test_compile_qubo_bit_counts():
     assert compile_qubo(problem, weight_zeno, mult).n_bits == 11
 
 
+@pytest.mark.parametrize(
+    "assignment, n_bits, slack_map",
+    [
+        ((DEPHASE, QAOA, ZENO, QAOA, QAOA, ZENO), 9, {1: (6,), 3: (7,), 4: (8,)}),
+        ((QAOA, ZENO, QAOA, DEPHASE, QAOA, QAOA), 11, {0: (6, 7), 2: (8,), 4: (9,), 5: (10,)}),
+    ],
+)
+def test_compile_qubo_slack_layout_of_interleaved_kinds(assignment, n_bits, slack_map):
+    """QAOA constraints take slack_width(bound) bits each, in constraint order
+    after the decision bits; DEPHASE and ZENO constraints take none.  Slack
+    bit k of a constraint enters its penalty with weight 2^k."""
+    qubo = compile_qubo(cargo(), assignment, Multipliers.uniform(6, 13))
+    assert qubo.n_bits == n_bits
+    assert qubo.slack_map == slack_map
+    for bits in slack_map.values():
+        assert [qubo.Q[b, b] for b in bits] == [13.0 * 4**k for k in range(len(bits))]
+
+
 def test_compile_qubo_lambda_zero_maximizes_objective():
     problem = cargo()
     mult = Multipliers.uniform(6, 0.0)
@@ -147,6 +165,13 @@ def test_multipliers_validation():
         Multipliers((-1.0,), 1.0)
     with pytest.raises(InputError):
         Multipliers.uniform(2, 1.0, alpha=-0.5)
+
+
+def test_uniform_multipliers_need_an_integer_count():
+    for n in (2.5, True, -1):
+        with pytest.raises(InputError, match="^n_constraints must be"):
+            Multipliers.uniform(n, 1.0)
+    assert Multipliers.uniform(np.int64(2), 1.0).lambdas == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("lambdas, alpha, message", [

@@ -50,6 +50,14 @@ def test_new_state_capacity(n):
         new_state(n)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3", None])
+def test_new_state_needs_an_integer_count(n):
+    with pytest.raises(InputError, match=f"^n_qubits must be an integer, got {n!r}$"):
+        new_state(n)
+    state = new_state(np.int64(3))
+    assert state.n_qubits == 3 and sample(state, 4, seed=0) == {"000": 4}
+
+
 def test_hadamard_on_zero():
     state = apply_gate(new_state(1), gate_h(0))
     assert np.allclose(state.amplitudes, [0.70710678, 0.70710678])
@@ -88,12 +96,37 @@ def test_cphase_single_qubit_is_phase_gate():
 
 
 def test_gate_qubit_validation():
-    with pytest.raises(ShapeError):
-        apply_gate(new_state(2), gate_h(2))
+    for gate, qubit in [(gate_h(2), 2), (gate_cnot(0, 5), 5), (gate_mcx([-1, 0], 1), -1)]:
+        message = rf"^{gate.kind} gate qubit {qubit} out of range for 2-qubit state$"
+        with pytest.raises(ShapeError, match=message):
+            apply_gate(new_state(2), gate)
     with pytest.raises(ShapeError):
         Gate("CNOT", (1, 1))
     with pytest.raises(ShapeError):
         Gate("NOPE", (0,))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Gate("RX", (0, 1)), r"^RX acts on exactly 1 qubit\(s\), got \(0, 1\)$"),
+        (lambda: Gate("MCX", (3,)), r"^MCX acts on at least 2 qubit\(s\), got \(3,\)$"),
+        (lambda: Gate("CPHASE", ()), r"^CPHASE acts on at least 1 qubit\(s\), got \(\)$"),
+        (lambda: Projection(0, 2), r"^outcome must be 0 or 1, got 2$"),
+    ],
+    ids=["RX-two-qubits", "MCX-no-control", "CPHASE-no-qubit", "projection-outcome-2"],
+)
+def test_gates_and_projections_check_their_rules_when_built(build, message):
+    with pytest.raises(ShapeError, match=message):
+        build()
+
+
+def test_angles_follow_the_gate_kind():
+    gates = [gate_h(0), gate_x(0), gate_rx(0, 0.5), gate_rz(0, 0.5), gate_rzz(0, 1, 0.5),
+             gate_cnot(0, 1), gate_cphase([0, 1], 0.5), gate_mcx([0, 1], 2)]
+    assert {gate.kind for gate in gates if gate.has_angle} == {"RX", "RZ", "RZZ", "CPHASE"}
+    assert gate_rzz(0, 1, 0.5).inverse() == gate_rzz(0, 1, -0.5)
+    assert gate_mcx([0, 1], 2).inverse() == gate_mcx([0, 1], 2)
 
 
 def _random_circuit(rng, n, length=40):
