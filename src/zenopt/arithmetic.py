@@ -45,9 +45,8 @@ class CostRegisterLayout:
 
 
 def register_width(coeffs: Sequence[int]) -> int:
-    """Bits needed to hold the largest achievable cost sum_i coeffs[i]."""
-    total = sum(c for c in coeffs if c > 0)
-    return max(1, math.ceil(math.log2(total + 1))) if total > 0 else 1
+    """Bits needed to hold the largest achievable cost sum_i coeffs[i], at least 1."""
+    return max(1, int(sum(c for c in coeffs if c > 0)).bit_length())
 
 
 def _qft(qubits: Sequence[int]) -> list[Gate]:

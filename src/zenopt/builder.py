@@ -42,6 +42,7 @@ from .problem import (
     IsingCoeffs,
     Multipliers,
     Qubo,
+    can_fail,
     check_kinds,
     compile_qubo,
     feasible_mask,
@@ -192,12 +193,11 @@ def _penalty_phase_gates(reg: CostRegisterLayout, bound: int, alpha: float, thet
 
 
 def _flag_circuit(constraint_coeffs, bound: int, reg: CostRegisterLayout) -> list[Gate]:
-    """Adder plus comparator flagging cost > bound, or [] when the bound is
-    vacuous (at or above 2^width: no cost exceeds it, so there is no flag)."""
+    """Adder plus comparator flagging cost > bound; [] when the constraint cannot fail (``can_fail``)."""
     support, weights = _constraint_support(constraint_coeffs)
     if support != reg.decision_qubits:
         raise LayoutError("register layout does not match the constraint support")
-    if bound >= (1 << reg.width_m):
+    if not can_fail(weights, bound):
         return []
     return build_cost_adder(weights, reg) + build_comparator(reg, bound)
 
@@ -216,7 +216,7 @@ def build_dephasing_layer(
     """
     forward = _flag_circuit(constraint_coeffs, bound, reg)
     if not forward:
-        return []  # bound exceeds any achievable cost: nothing to dephase
+        return []  # the constraint cannot fail: nothing to dephase
     penalty = _penalty_phase_gates(reg, bound, alpha, theta)
     return forward + penalty + build_uncompute(forward)
 
@@ -241,7 +241,7 @@ def build_zeno_layer(
     for _ in range(q_measurements):
         gates.extend(gate_rx(q, beta / q_measurements) for q in mixer_qubits)
         if not forward:
-            continue  # vacuous bound: no flag to project
+            continue  # the constraint cannot fail: no flag to project
         gates.extend(forward)
         positions.append(len(gates))
         gates.extend(build_uncompute(forward))

@@ -15,16 +15,16 @@ order, as
 
 The initial state is one row, uniform over the decision states that satisfy
 every ZENO constraint, repeated for every slack value; ``initial_row`` builds
-it for both backends.  A ``FunctionalCircuit`` holds one 2^n array, its cost
-table (``qubo_values``: 8 * 2^n bytes, 16 * 2^n while built), and 2^n_vars
-arrays: its complex initial row (16 * 2^n_vars bytes), the solution masks,
-and its blocks' excess rows and Zeno masks.  A run allocates psi (16 * 2^n
-bytes) and, per phase return, two complex 2^n temporaries: 48 * 2^n at its
-peak.  Every limit is checked before any 2^n array exists: CapacityError
-for more than ``MAX_QUBITS`` bits, or, from the solution masks built first,
-for more than ``BRUTE_FORCE_MAX_VARS`` variables.  The gate backend is the
-reference: its ancilla-zero slice is what these amplitudes are tested
-against.
+it for both backends.  A constraint that cannot fail (``problem.can_fail``) has
+no flag in the gate circuit, so here no dephasing block and no projection.  A
+``FunctionalCircuit`` holds one 2^n array, its cost table (``qubo_values``: 8 *
+2^n bytes, 16 * 2^n while built), and 2^n_vars arrays: its complex initial row
+(16 * 2^n_vars bytes), the solution masks, and its blocks' excess rows and Zeno
+masks.  A run allocates psi and, per phase return, one complex exponent taken
+in place: 32 * 2^n bytes at its peak.  Every limit is checked before any 2^n
+array exists: CapacityError for more than ``MAX_QUBITS`` bits, or, from the
+solution masks built first, for more than ``BRUTE_FORCE_MAX_VARS`` variables.
+These amplitudes are tested against the gate backend's ancilla-zero slice.
 
 The run metrics are defined here, once: ``FunctionalCircuit.metrics`` reads
 the expected compiled cost and the probabilities that the decision bits are
@@ -42,8 +42,8 @@ import numpy as np
 
 from .builder import NATURAL, LayerParams, block_order, compiled_model, initial_row, mixer_targets
 from .errors import CapacityError, EmptySubspaceError
-from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess, solution_masks
-from .problem import qubo_values
+from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, can_fail, constraint_excess
+from .problem import qubo_values, solution_masks
 from .statevector import ANNIHILATION_PROB, MAX_QUBITS, Statevector, _apply_inplace, gate_rx
 
 
@@ -59,7 +59,7 @@ class _Block:
     kind: str
     name: str  # constraint index and label, for error messages
     excess: np.ndarray  # max(0, a.x - b) per decision state
-    keep: np.ndarray | None  # Zeno projection mask, excess == 0; None when it drops no state
+    keep: np.ndarray | None  # Zeno projection mask, excess == 0; None when no state fails
 
 
 class FunctionalCircuit:
@@ -92,10 +92,10 @@ class FunctionalCircuit:
         excess = constraint_excess(problem)
         self.blocks = []
         for ci in block_order(assignment, ordering):
-            keep = excess[ci] == 0
-            projects = assignment[ci] == ZENO and not keep.all()
-            name = f"{ci} ({problem.constraints[ci].label!r})"
-            self.blocks.append(_Block(assignment[ci], name, excess[ci], keep if projects else None))
+            con, kind = problem.constraints[ci], assignment[ci]
+            if (fails := can_fail(con.coeffs, con.bound)) or kind == ZENO:  # ZENO blocks always mix
+                keep = excess[ci] == 0 if fails and kind == ZENO else None
+                self.blocks.append(_Block(kind, f"{ci} ({con.label!r})", excess[ci], keep))
         self.initial = initial_row(problem, assignment, 1 << (n - self.n_vars))
 
     def _rx_wall(self, psi: np.ndarray, qubits, angle: float) -> None:
@@ -112,7 +112,10 @@ class FunctionalCircuit:
         survival = 1.0
         q_meas = params.q_measurements
         for p, (gamma, beta) in enumerate(zip(params.gamma, params.beta)):
-            psi *= np.exp(-1j * gamma * (self.cost_table - self.identity).reshape(psi.shape))
+            phase = np.subtract(self.cost_table, self.identity, dtype=complex)
+            phase *= -1j * gamma
+            psi *= np.exp(phase, out=phase).reshape(psi.shape)
+            del phase  # free before the walls
             for block in self.blocks:
                 if block.kind == DEPHASE:
                     psi *= np.exp(-1j * gamma * self.alpha * block.excess)

@@ -9,7 +9,6 @@ rightmost.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -133,8 +132,13 @@ def cargo_instance(weights: list[int], n_positions: int, max_weight: int) -> Con
 
 
 def slack_width(bound: int) -> int:
-    """Number of slack bits for an inequality with the given bound."""
-    return math.ceil(math.log2(bound + 1)) if bound > 0 else 0
+    """Number of slack bits for an inequality with the given bound: exactly enough for 0..bound."""
+    return int(bound).bit_length()
+
+
+def can_fail(coeffs, bound: int) -> bool:
+    """Whether some x violates a.x <= bound: as a >= 0, exactly when x = all ones does."""
+    return sum(int(a) for a in coeffs) > bound
 
 
 @dataclass

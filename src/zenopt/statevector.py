@@ -55,6 +55,7 @@ import numpy as np
 from .errors import CapacityError, EmptySubspaceError, ShapeError, check_int
 
 MAX_QUBITS = 26
+# After projections of total survival s, amplitudes reproduce only to about 1e-17/sqrt(s).
 ANNIHILATION_PROB = 1e-12  # a projection keeping at most this raises EmptySubspaceError
 
 # Gate kinds. CPHASE accepts any number of qubits >= 1: with a single qubit it

@@ -172,6 +172,14 @@ def test_register_width():
     assert register_width([1, 1, 1]) == 2
 
 
+def test_register_width_is_exact_to_the_int64_limit():
+    # The fewest bits that hold the sum, by exact integer comparison; at least 1.
+    for k in range(63):
+        for d in (-1, 0, 1):
+            total = 2**k + d
+            assert register_width([total]) == next(w for w in range(1, 65) if total < 1 << w), (k, d)
+
+
 def test_layout_disjointness_enforced():
     with pytest.raises(LayoutError):
         CostRegisterLayout((0, 1), (1, 2), 3, 2)

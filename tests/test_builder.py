@@ -225,6 +225,17 @@ def test_zeno_layer_vacuous_bound_only_mixes():
     assert [g.kind for g in gates] == ["RX"] * 12
 
 
+@pytest.mark.parametrize("kind", [DEPHASE, ZENO])
+def test_cost_register_holds_a_2_to_49_coefficient_sum(kind):
+    """A coefficient sum of 2^49 takes a 50-bit register: a float log2 gave
+    49 bits, and the adder then refused the overflow with LayoutError."""
+    problem = ConstrainedBinaryProblem(2, (1, 1), (Constraint((2**49, 0), 5, "big"),))
+    stats = circuit_stats(build_circuit(problem, (kind,), Multipliers.uniform(1, 1.0), LayerParams.initial()))
+    assert stats.n_qubits == 2 + 50 + 1
+    assert stats.n_clbits == (1 if kind == ZENO else 0)
+    assert stats.non_local_gates > 0
+
+
 def test_build_circuit_layout_all_qaoa():
     problem = cargo()
     circuit = build_circuit(problem, ALL_QAOA, MULT, LayerParams((0.1,), (0.1,)))
@@ -543,12 +554,13 @@ def test_functional_circuit_peak_memory_within_held_arrays():
 
 def test_functional_run_peak_memory_within_its_arrays():
     """One run of a 20-bit ZENO model allocates its state psi (16 * 2^n
-    bytes), and at most two complex 2^n temporaries beside it: the phase
-    return's exponent and its exp (the float cost_table - identity before
-    them is freed first).  The Zeno probability read copies at most one state
-    and its squared moduli, the projection works in place, and an RX wall
-    takes at most one state of temporaries.  So the peak is 48 * 2^n bytes
-    plus 1 MiB for what is not 2^n, and the run leaves only psi behind."""
+    bytes) and, beside it, at most one of: the phase return's complex
+    exponent, computed, raised and freed in place (16 * 2^n); an RX wall's
+    temporaries (two half states); or the Zeno probability read, which copies
+    the kept amplitudes (16 bytes each) and takes their moduli (8 each), then
+    squares the moduli (8 each) once the copy is freed.  The projection works
+    in place.  So the peak is psi plus the largest of these, plus 1 MiB for
+    what is not 2^n, and the run leaves only psi behind."""
     base, _, _ = _two_constraint_model()
     zeno = Constraint((1, 1, 1, 1, 1, 1), 3, "zeno")
     problem = ConstrainedBinaryProblem(6, base.objective, (*base.constraints, zeno))
@@ -561,7 +573,9 @@ def test_functional_run_peak_memory_within_its_arrays():
     finally:
         tracemalloc.stop()
     assert 0.0 < state.survival_prob < 1.0
-    assert peak <= (48 << circuit.n_bits) + (1 << 20), peak / (16 << circuit.n_bits)
+    kept = int(circuit.blocks[0].keep.sum()) << (circuit.n_bits - circuit.n_vars)
+    beside = max(16 << circuit.n_bits, (16 + 8) * kept)
+    assert peak <= (16 << circuit.n_bits) + beside + (1 << 20), peak / (16 << circuit.n_bits)
     assert current <= (16 << circuit.n_bits) + (1 << 20), current / (16 << circuit.n_bits)
 
 

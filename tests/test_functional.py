@@ -3,10 +3,11 @@
 Problem ``seed`` has 1 + seed % 5 variables and seed % 4 constraints.
 Constraint ci of problem seed takes kind REP_KINDS[(seed + ci) % 3] and
 style STYLES[(seed + ci) % 4], so the 20 problems pair every kind with every
-style: ordinary, bound 0, vacuous bound (at least 2^width, so the gate
-build has no flag) and all-zero coefficients.  Each problem runs under every
-ordering at p in {1, 2} and Q in {1, 3}.  Three wider problems (6-8
-variables, 4 constraints) run the same grid.
+style: ordinary, bound 0, vacuous bound (2^width, above the coefficient sum,
+so the constraint cannot fail and neither backend has a flag for it) and
+all-zero coefficients.  Each problem runs under every ordering at p in {1, 2}
+and Q in {1, 3}.  Three wider problems (6-8 variables, 4 constraints) run the
+same grid.
 """
 
 import numpy as np
@@ -20,13 +21,15 @@ from zenopt import (
     LayerParams,
     Multipliers,
     build_circuit,
+    build_dephasing_layer,
+    circuit_stats,
     evaluate_params,
     prepare_initial_state,
     register_width,
     run_circuit,
 )
 from zenopt.builder import ancilla_mass
-from zenopt.problem import DEPHASE, QAOA, REP_KINDS, ZENO, feasible_mask, subset_sums
+from zenopt.problem import DEPHASE, QAOA, REP_KINDS, ZENO, can_fail, feasible_mask, subset_sums
 from zenopt.zeno import expm_hermitian, zeno_hamiltonian
 
 STYLES = ("ordinary", "bound_zero", "vacuous", "zero_coeffs")
@@ -92,6 +95,29 @@ def _assert_backends_agree(rng, problem, assignment, mult, where):
 def test_functional_matches_gate_on_random_problem(seed):
     rng, problem, assignment, mult = _random_case(seed)
     _assert_backends_agree(rng, problem, assignment, mult, f"seed {seed}")
+
+
+def test_backends_read_one_can_fail_rule():
+    """Both backends read ``can_fail``: on every seeded problem and at every
+    (p, Q), the gate circuit makes p * Q flag projections per ZENO block that
+    the functional backend projects, and a DEPHASE constraint adds gates and
+    a functional block exactly when it can fail."""
+    for seed in range(20):
+        _, problem, assignment, mult = _random_case(seed)
+        functional = FunctionalCircuit(problem, assignment, mult)
+        projecting = sum(block.keep is not None for block in functional.blocks)
+        dephasing = sum(block.kind == DEPHASE for block in functional.blocks)
+        for p, q in LAYERS:
+            circuit = build_circuit(problem, assignment, mult, LayerParams((0.3,) * p, (0.5,) * p, q))
+            assert circuit_stats(circuit).n_clbits == p * q * projecting, (seed, p, q)
+            failing = 0
+            for ci, con in enumerate(problem.constraints):
+                if assignment[ci] == DEPHASE:
+                    reg = circuit.layout.registers[ci]
+                    layer = build_dephasing_layer(con.coeffs, con.bound, reg, mult.alpha, 0.3)
+                    assert bool(layer) == can_fail(con.coeffs, con.bound), (seed, ci)
+                    failing += bool(layer)
+            assert failing == dephasing, seed
 
 
 # Wider problems: 6-8 variables and 4 constraints, each on 3 variables with

@@ -88,6 +88,26 @@ def test_slack_width():
     assert slack_width(4) == 3
 
 
+def _bit_length(value: int) -> int:
+    """The fewest bits w with value < 2^w, by exact integer comparison."""
+    return next(w for w in range(65) if value < 1 << w)
+
+
+def test_slack_width_is_exact_to_the_int64_limit():
+    # A float log2 rounds 2^k + 1 down to k from k = 49 on, one bit short.
+    for k in range(63):
+        for d in (-1, 0, 1):
+            assert slack_width(2**k + d) == _bit_length(2**k + d), (k, d)
+
+
+def test_compile_qubo_slack_holds_a_2_to_53_bound():
+    """Bound 2^53 takes 54 slack bits, so b - a.x = 2^53 at x = 0 is encodable."""
+    problem = ConstrainedBinaryProblem(1, (1,), (Constraint((1,), 2**53, "big"),))
+    qubo = compile_qubo(problem, (QAOA,), Multipliers.uniform(1, 1.0))
+    assert qubo.slack_map == {0: tuple(range(1, 55))}
+    assert qubo.n_bits == 55
+
+
 def test_compile_qubo_bit_counts():
     problem = cargo()
     mult = Multipliers.uniform(6, 3)
