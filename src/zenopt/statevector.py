@@ -26,13 +26,24 @@ lone diagonal gate, and a lone gate spanning more than 4 qubits, use the
 per-gate kernel.  Every other run builds one matrix of at most 64 x 64 over
 qubits lo..hi, applied in place by matmuls over slices of the state.
 
+``apply_gates`` keeps one invariant on its working copy: every amplitude
+from index 2**live on is exactly 0.  A run or projection whose highest
+qubit is hi acts on the prefix ``amps[:2**m]`` as an m-qubit state, m =
+max(live, hi + 1): exact, as a run on qubits below m maps each all-zero
+block of 2**m amplitudes above it to zero, and a span reads only its
+matrix rows below 2**live.  After a run or projection that reaches qubit
+live - 1, ``live`` steps down from m while the top half of the prefix is
+all zero (``.any()``: -0.0 is zero, no threshold).  The prefix is of the
+working copy, so all operations stay pure.
+
 Capacity: a state holds 2**n complex128 amplitudes, 16 * 2**n bytes, which
 is 1 GiB at ``MAX_QUBITS`` = 26.  ``new_state`` and ``apply_gates``' working
 copy put their amplitudes in a private anonymous mapping: a page takes
 memory only once it is written, and the mapping is returned to the system
 as soon as its last view dies.  The working copy, which writes every page,
 maps them all up front (MAP_POPULATE) instead of faulting them in one at a
-time; ``new_state`` stays lazy.  So a state prepared on 2**k amplitudes
+time, and is still mapped and populated in full when runs act on a prefix;
+``new_state`` stays lazy.  So a state prepared on 2**k amplitudes
 holds about 16 * 2**k bytes, and one gate evaluation (prepare, run,
 ``marginal_probabilities``, ``Statevector.norm_error``) holds the caller's
 state plus one mapped working copy.  Beyond those it allocates at most one
@@ -385,7 +396,7 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
         yield run, lo, hi, diagonal
 
 
-def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int) -> None:
+def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int, live: int) -> None:
     """Apply a run within qubits lo..hi in place as one d x d matrix.
 
     d = 2**(hi-lo+1) <= 64.  The matrix acts on axis 1 of the
@@ -393,10 +404,12 @@ def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int) -> None:
     ``_SPAN_CHUNK`` amplitudes, so no state-size temporary is made: with
     lo + width <= 10 on the transposing path, each chunk holds at least one
     whole tile; on the other path a slice is whole tiles or, when one tile
-    is wider than a chunk, ``_SPAN_CHUNK // d`` of its columns.
+    is wider than a chunk, ``_SPAN_CHUNK // d`` of its columns.  Each matmul
+    reads only the k = min(d, 2**max(0, live - lo)) rows below 2**live.
     """
     width = hi - lo + 1
     d = 1 << width
+    k = min(d, 1 << max(0, live - lo))
     # Read as a 2*width-qubit state, the identity's row j holds e_j on the low
     # qubits; the gates turn it into U e_j, so the array is U^T.
     u_t = np.eye(d, dtype=np.complex128)
@@ -409,7 +422,7 @@ def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int) -> None:
         step = _SPAN_CHUNK >> (width + lo)
         for i in range(0, len(stack), step):
             part = stack[i : i + step]
-            out = part.transpose(0, 2, 1).reshape(-1, d) @ u_t
+            out = part[:, :k].transpose(0, 2, 1).reshape(-1, k) @ u_t[:k]
             part[...] = out.reshape(len(part), -1, d).transpose(0, 2, 1)
         return
     # Wider tiles: whole tiles per matmul, or column slices of one tile.
@@ -418,30 +431,48 @@ def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int) -> None:
     for i in range(0, len(stack), tiles):
         for j in range(0, 1 << lo, cols):
             part = stack[i : i + tiles, :, j : j + cols]
-            part[...] = u_t.T @ part
+            part[...] = u_t.T[:, :k] @ part[:, :k]
 
 
-def _apply_runs(amps: np.ndarray, gates: Sequence[Gate], n_qubits: int) -> None:
+def _live(amps: np.ndarray, top: int) -> int:
+    """Step ``top`` down while the top half of ``amps[:2**top]`` is all zero,
+    read in ``_SPAN_CHUNK`` slices up to the first nonzero one."""
+    while top:
+        half = amps[1 << (top - 1) : 1 << top]
+        if any(half[i : i + _SPAN_CHUNK].any() for i in range(0, len(half), _SPAN_CHUNK)):
+            return top
+        top -= 1
+    return top
+
+
+def _apply_runs(amps: np.ndarray, gates: Sequence[Gate], n_qubits: int, live: int) -> int:
     """Apply ``gates`` to ``amps`` in place, run by run (see ``_runs``).
 
     Each branch applies a whole run, chosen by its shape: a diagonal run of
     two or more gates as a phase table; one gate that is diagonal or spans
     more than ``_SPAN_QUBITS`` by the per-gate kernel; any other run, which
-    ``_runs`` keeps within ``_ENTANGLING_SPAN_QUBITS``, as one span.
+    ``_runs`` keeps within ``_ENTANGLING_SPAN_QUBITS``, as one span.  Each
+    acts on the prefix of the module docstring; returns the new ``live``.
     """
     for run, lo, hi, diagonal in _runs(gates, n_qubits):
+        m = max(live, hi + 1)
+        prefix = amps[: 1 << m]
         if diagonal and len(run) > 1:
-            _apply_diagonal_run(amps, run, n_qubits)
+            _apply_diagonal_run(prefix, run, m)
         elif len(run) == 1 and (diagonal or hi - lo >= _SPAN_QUBITS):
-            _apply_inplace(amps, run[0], n_qubits)
+            _apply_inplace(prefix, run[0], m)
         else:
-            _apply_span(amps, run, lo, hi)
+            _apply_span(prefix, run, lo, hi, live)
+        live = _live(amps, m) if hi + 1 >= live else live
+    return live
 
 
 def _project(amps: np.ndarray, n_qubits: int, projection: Projection) -> float:
     """Post-select ``amps`` in place on ``projection``; returns the kept probability.
 
-    The probability is summed over slices of at most ``_SPAN_CHUNK``
+    ``amps`` may be the prefix of an ``n_qubits``-qubit state that holds its
+    nonzero amplitudes; the range check is against ``n_qubits``.  The
+    probability is summed over slices of at most ``_SPAN_CHUNK``
     amplitudes, so no state-size temporary is made.  Raises
     EmptySubspaceError when it is at most ANNIHILATION_PROB, the sign that
     post-selection annihilated the state.
@@ -477,8 +508,9 @@ def apply_gates(
     ``projections`` holds ``(position, Projection)`` pairs in stream order,
     as in ``HybridCircuit.projections``: each follows the first ``position``
     gates.  Between sites the gates go through the fused runs of the module
-    docstring.  A projection renormalizes the kept half in place and
-    multiplies its probability into ``survival_prob``; one keeping at most
+    docstring, each on the prefix of amplitudes that can be nonzero.  A
+    projection renormalizes the kept half in place and multiplies its
+    probability into ``survival_prob``; one keeping at most
     ANNIHILATION_PROB raises EmptySubspaceError.  Fused runs round
     differently from the gates folded one by one, by about 1e-15.
     """
@@ -486,16 +518,19 @@ def apply_gates(
     amps = _mapped_zeros(n, populate=True)
     amps[...] = state.amplitudes
     survival = state.survival_prob
+    live = _live(amps, n)
     done = 0
     for position, projection in projections:
         if not done <= position <= len(gates):
             raise ShapeError(
                 f"projection position {position} is out of order or beyond {len(gates)} gates"
             )
-        _apply_runs(amps, gates[done:position], n)
-        survival *= _project(amps, n, projection)
+        live = _apply_runs(amps, gates[done:position], n, live)
+        m = max(live, projection.qubit + 1)
+        survival *= _project(amps[: 1 << m], n, projection)
+        live = _live(amps, m) if projection.qubit + 1 >= live else live
         done = position
-    _apply_runs(amps, gates[done:], n)
+    _apply_runs(amps, gates[done:], n, live)
     return Statevector(n, amps, survival)
 
 

@@ -46,6 +46,7 @@ from zenopt import (
 from zenopt.arithmetic import register_width
 from zenopt.builder import CircuitLayout, HybridCircuit, ancilla_mass, build_layout, compiled_model
 from zenopt.problem import REP_KINDS, IsingCoeffs, feasible_mask
+from zenopt import statevector
 from zenopt.statevector import gate_h, gate_rx
 
 
@@ -525,6 +526,33 @@ def test_run_circuit_matches_gates_and_sites_folded_one_at_a_time(assignment):
     gap = np.max(np.abs(out.amplitudes - folded.amplitudes))
     assert gap <= 1e-12 / np.sqrt(folded.survival_prob), (gap, folded.survival_prob)
     assert abs(out.survival_prob - folded.survival_prob) <= 1e-12
+
+
+def test_run_circuit_acts_on_the_prefix_that_can_be_nonzero(monkeypatch):
+    """Spans and phase tables of a 16-qubit cargo circuit receive only the
+    amplitudes that can be nonzero: the first phase return the 2**k decision
+    and slack amplitudes of the prepared state, and no run whose qubits all
+    lie below the top flag (qubit n - 1) the flag's half of the state."""
+    sizes = []
+    for name in ("_apply_span", "_apply_diagonal_run"):
+        kernel = getattr(statevector, name)
+
+        def recorded(amps, run, *args, kernel=kernel):
+            sizes.append((len(amps), max(q for gate in run for q in gate.qubits)))
+            return kernel(amps, run, *args)
+
+        monkeypatch.setattr(statevector, name, recorded)
+    for assignment in ("ZENO,QAOA,QAOA,QAOA,QAOA,QAOA", "DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA"):
+        assignment = parse_assignment(assignment)
+        circuit = build_circuit(cargo(), assignment, MULT, LayerParams((0.1,), (0.6,), 2))
+        layout = circuit.layout
+        n, k = layout.n_qubits, len(layout.decision) + len(layout.slack)
+        state = prepare_initial_state(cargo(), assignment, layout)
+        sizes.clear()
+        run_circuit(circuit, state)
+        assert n == 16 and sizes[0] == (1 << k, k - 1), (assignment, sizes[0])
+        wide = [(size, top) for size, top in sizes if top < n - 1 and size > 1 << (n - 1)]
+        assert not wide, (assignment, wide)
 
 
 def _two_constraint_model():

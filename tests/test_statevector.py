@@ -621,6 +621,108 @@ def test_projection_site_annihilation_and_order_errors():
         apply_gates(state, [], [(0, Projection(0, 2))])
 
 
+def _zero_tail_state(n, k, rng, tail=0.0):
+    """Random amplitudes on the first 2**k, zero above but ``tail`` on the last."""
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[: 1 << k] = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+    amps /= np.linalg.norm(amps)
+    amps[-1] += tail
+    return Statevector(n, amps, 0.75)
+
+
+def _folded_in_place(state, gates, sites=()):
+    """The gates folded one at a time through ``_apply_inplace`` and each site
+    through ``_project`` on a full copy of the amplitudes: no prefix."""
+    amps, survival, done = state.amplitudes.copy(), state.survival_prob, 0
+    for position, projection in [*sites, (len(gates), None)]:
+        for gate in gates[done:position]:
+            statevector._apply_inplace(amps, gate, state.n_qubits)
+        if projection is not None:
+            survival *= statevector._project(amps, state.n_qubits, projection)
+        done = position
+    return amps, survival
+
+
+def _above_prefix_cases(n, k):
+    """Runs that reach above a state zero from 2**k on: RZ and RZZ on the top
+    qubit, alone and as a phase table; spans with lo < k <= hi and with
+    lo >= k; a lone MCX wider than 4 qubits with its target on top."""
+    top = n - 1
+    cases = {
+        "rz-top": [gate_rz(top, 0.7)],
+        "rzz-top": [gate_rzz(top, 0, -1.1)],
+        "rz-rzz-table-top": [gate_rz(top, 0.7), gate_rzz(top, 0, -1.1)],
+    }
+    lo, hi = max(0, k - 2), min(k + 1, top)
+    cases["span-across"] = [gate_h(lo), gate_rx(hi, 0.3), gate_cnot(lo, hi), gate_h(hi), gate_rz(lo, 0.2)]
+    if k + 1 < n:
+        hi = min(k + 3, top)
+        cases["span-above"] = [gate_h(k), gate_cnot(k, hi), gate_rx(hi, 0.4), gate_rx(k, -0.9)]
+    if n >= 5:
+        cases["lone-mcx5"] = [gate_mcx(range(4), top)]
+    return cases
+
+
+# States zero from 2**k on, against a fold that never uses the prefix: the
+# mixed cases, diagonal runs and projected circuits over k qubits (below the
+# prefix) and over n, and runs that reach above it.
+@pytest.mark.parametrize("n", [3, 6, 9, 16])
+def test_zero_tails_match_gates_folded_in_place(n):
+    rng = np.random.default_rng(500 + n)
+    for k in sorted({0, 1, n // 2, n - 2, n - 1}):
+        below = _mixed_cases(k, rng) | _diagonal_runs(k, rng) if k else {}
+        cases = {f"below-{name}": (gates, ()) for name, gates in below.items()}
+        cases |= {name: (gates, ()) for name, gates in _above_prefix_cases(n, k).items()}
+        cases |= {f"across-{name}": (gates, ()) for name, gates in _mixed_cases(n, rng).items()}
+        cases |= {f"across-{name}": (gates, ()) for name, gates in _diagonal_runs(n, rng).items()}
+        for outcome in (0, 1):
+            if k:
+                cases[f"below-projected-{outcome}"] = _projected_circuit(k, rng, outcome)
+            cases[f"across-projected-{outcome}"] = _projected_circuit(n, rng, outcome)
+        for name, (gates, sites) in cases.items():
+            state = _zero_tail_state(n, k, rng)
+            try:
+                expected, survival = _folded_in_place(state, gates, sites)
+            except EmptySubspaceError:
+                with pytest.raises(EmptySubspaceError):
+                    apply_gates(state, gates, sites)
+                continue
+            out = apply_gates(state, gates, sites)
+            assert np.max(np.abs(out.amplitudes - expected)) < 1e-12, (k, name)
+            assert abs(out.survival_prob - survival) < 1e-12, (k, name)
+            if name.startswith("below"):
+                assert not out.amplitudes[1 << k :].any(), (k, name)
+        # One amplitude of 1e-200 on the last index keeps every qubit live:
+        # the gates below k change the tail as the fold does, to 1e-12 of its size.
+        for name in ("below-all", "below-with-qubit0-top-first"):
+            if name in cases:
+                gates, sites = cases[name]
+                state = _zero_tail_state(n, k, rng, tail=1e-200)
+                expected, _ = _folded_in_place(state, gates, sites)
+                out = apply_gates(state, gates, sites).amplitudes
+                assert np.max(np.abs(out - expected)[1 << k :]) < 1e-212, (k, name)
+                assert np.max(np.abs(expected - state.amplitudes)[1 << k :]) > 1e-201, (k, name)
+
+
+def test_projection_above_the_prefix():
+    """A site on a qubit above every nonzero amplitude keeps nothing on |1>
+    and everything on |0>, renormalized exactly as the whole-state
+    projection; a qubit beyond the state is still out of range."""
+    for n, gates, qubit in ((3, [gate_h(0)], 2), (16, [gate_h(q) for q in range(4)], 9)):
+        state = apply_gates(new_state(n), gates)
+        before = state.amplitudes.copy()
+        message = rf"^projection of qubit {qubit} onto \|1> has probability 0\.000e\+00$"
+        with pytest.raises(EmptySubspaceError, match=message):
+            project_qubit(state, qubit, 1)
+        kept = project_qubit(state, qubit, 0)
+        whole = before.copy()
+        prob = statevector._project(whole, n, Projection(qubit, 0))
+        assert np.array_equal(kept.amplitudes, whole) and kept.survival_prob == prob
+        with pytest.raises(ShapeError, match=f"^qubit {n} out of range$"):
+            apply_gates(state, [], [(0, Projection(n, 0))])
+        assert np.array_equal(state.amplitudes, before) and state.survival_prob == 1.0
+
+
 @pytest.mark.parametrize("n", [3, 6, 16])
 def test_runs_follow_the_span_rule(n):
     """Every fused run grew by the rule: each prefix of two or more gates is
