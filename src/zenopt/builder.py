@@ -7,7 +7,11 @@ QAOA-compiled Ising terms; one block per DEPHASE/ZENO constraint in the
 chosen ordering; a transverse mixer with angle beta_p.  Zeno blocks own the
 mixing of decision qubits (Q sub-blocks of RX(beta_p/Q), each followed by a
 flag projection), so the trailing global mixer covers decision qubits only
-when no constraint is Zeno-assigned.
+when no constraint is Zeno-assigned.  ``build_layout`` is the one reader of
+``problem.can_fail``: it gives a DEPHASE or ZENO constraint a cost register
+and flag only when some decision state violates it.  A constraint without a
+register has no flag, so its DEPHASE block adds no gates and its Zeno
+sub-blocks only mix.
 
 These gate circuits are the reference and the source of circuit statistics;
 searches run the same layers on the ancilla-free functional backend
@@ -99,9 +103,11 @@ class LayerParams:
 class CircuitLayout:
     """Qubit roles: decision vars, QAOA slack bits, per-constraint registers.
 
-    Registers of equal width are pooled: sequential blocks uncompute their
-    ancillas, so constraints whose cost registers have the same width share
-    physical qubits.
+    ``registers`` holds exactly the DEPHASE and ZENO constraints that can fail
+    (``can_fail``); "has a flag" means ``ci in registers``.  Registers of equal
+    width are pooled: sequential blocks uncompute their ancillas, so
+    constraints whose cost registers have the same width share physical
+    qubits.
     """
 
     n_qubits: int
@@ -147,16 +153,18 @@ def _constraint_support(coeffs) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def build_layout(problem: ConstrainedBinaryProblem, assignment, qubo_n_bits: int) -> CircuitLayout:
-    """Allocate decision, slack, and pooled cost-register qubits."""
+    """Allocate decision, slack, and pooled cost-register qubits; a register
+    only for a DEPHASE or ZENO constraint that can fail."""
     decision = tuple(range(problem.n_vars))
     slack = tuple(range(problem.n_vars, qubo_n_bits))
     registers: dict[int, CostRegisterLayout] = {}
     pool: dict[int, tuple[tuple[int, ...], int]] = {}
     next_q = qubo_n_bits
     for ci, kind in enumerate(assignment):
-        if kind == QAOA:
+        con = problem.constraints[ci]
+        if kind == QAOA or not can_fail(con.coeffs, con.bound):
             continue
-        support, weights = _constraint_support(problem.constraints[ci].coeffs)
+        support, weights = _constraint_support(con.coeffs)
         width = register_width(weights)
         if width not in pool:
             cost = tuple(range(next_q, next_q + width))
@@ -193,12 +201,11 @@ def _penalty_phase_gates(reg: CostRegisterLayout, bound: int, alpha: float, thet
 
 
 def _flag_circuit(constraint_coeffs, bound: int, reg: CostRegisterLayout) -> list[Gate]:
-    """Adder plus comparator flagging cost > bound; [] when the constraint cannot fail (``can_fail``)."""
+    """Adder plus comparator flagging cost > bound, on the register ``build_layout``
+    gave a constraint that can fail."""
     support, weights = _constraint_support(constraint_coeffs)
     if support != reg.decision_qubits:
         raise LayoutError("register layout does not match the constraint support")
-    if not can_fail(weights, bound):
-        return []
     return build_cost_adder(weights, reg) + build_comparator(reg, bound)
 
 
@@ -215,8 +222,6 @@ def build_dephasing_layer(
     with all ancillas restored.
     """
     forward = _flag_circuit(constraint_coeffs, bound, reg)
-    if not forward:
-        return []  # the constraint cannot fail: nothing to dephase
     penalty = _penalty_phase_gates(reg, bound, alpha, theta)
     return forward + penalty + build_uncompute(forward)
 
@@ -224,7 +229,7 @@ def build_dephasing_layer(
 def build_zeno_layer(
     constraint_coeffs,
     bound: int,
-    reg: CostRegisterLayout,
+    reg: CostRegisterLayout | None,
     beta: float,
     q_measurements: int,
     mixer_qubits,
@@ -232,16 +237,17 @@ def build_zeno_layer(
     """Q sub-blocks of mixing followed by a flag projection each.
 
     Every sub-block mixes the decision qubits by RX(beta/Q), recomputes the
-    violation flag, projects it onto 0, and uncomputes.  Returns the gate
-    list and the projection positions within it.
+    violation flag, projects it onto 0, and uncomputes.  With ``reg`` None (the
+    constraint cannot fail, so it has no register) a sub-block only mixes.
+    Returns the gate list and the projection positions within it.
     """
-    forward = _flag_circuit(constraint_coeffs, bound, reg)
+    forward = [] if reg is None else _flag_circuit(constraint_coeffs, bound, reg)
     gates: list[Gate] = []
     positions: list[int] = []
     for _ in range(q_measurements):
         gates.extend(gate_rx(q, beta / q_measurements) for q in mixer_qubits)
-        if not forward:
-            continue  # the constraint cannot fail: no flag to project
+        if reg is None:
+            continue
         gates.extend(forward)
         positions.append(len(gates))
         gates.extend(build_uncompute(forward))
@@ -307,10 +313,8 @@ def build_circuit(
         gates.extend(build_phase_return(ising, gamma))
         for ci in blocks:
             con = problem.constraints[ci]
-            reg = layout.registers[ci]
-            if assignment[ci] == DEPHASE:
-                gates.extend(build_dephasing_layer(con.coeffs, con.bound, reg, mult.alpha, gamma))
-            else:
+            reg = layout.registers.get(ci)
+            if assignment[ci] == ZENO:
                 zgates, zpos = build_zeno_layer(
                     con.coeffs, con.bound, reg, beta, params.q_measurements, layout.decision
                 )
@@ -319,6 +323,8 @@ def build_circuit(
                 projections.extend(
                     (offset + pos, Projection(reg.flag_qubit, 0)) for pos in zpos
                 )
+            elif reg is not None:  # a DEPHASE constraint without a register has nothing to dephase
+                gates.extend(build_dephasing_layer(con.coeffs, con.bound, reg, mult.alpha, gamma))
         gates.extend(gate_rx(q, beta) for q in mixer)
     return HybridCircuit(layout, gates, projections, 2 * params.p_layers)
 

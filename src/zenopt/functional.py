@@ -15,8 +15,9 @@ order, as
 
 The initial state is one row, uniform over the decision states that satisfy
 every ZENO constraint, repeated for every slack value; ``initial_row`` builds
-it for both backends.  A constraint that cannot fail (``problem.can_fail``) has
-no flag in the gate circuit, so here no dephasing block and no projection.  A
+it for both backends.  A constraint without a register in the compiled
+layout (``builder.build_layout`` gives one only to a constraint that can fail)
+has no flag in the gate circuit, so here no dephasing block and no projection.  A
 ``FunctionalCircuit`` holds one 2^n array, its cost table (``qubo_values``: 8 *
 2^n bytes, 16 * 2^n while built), and 2^n_vars arrays: its complex initial row
 (16 * 2^n_vars bytes), the solution masks, and its blocks' excess rows and Zeno
@@ -42,7 +43,7 @@ import numpy as np
 
 from .builder import NATURAL, LayerParams, block_order, compiled_model, initial_row, mixer_targets
 from .errors import CapacityError, EmptySubspaceError
-from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, can_fail, constraint_excess
+from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess
 from .problem import qubo_values, solution_masks
 from .statevector import ANNIHILATION_PROB, MAX_QUBITS, Statevector, _apply_inplace, gate_rx
 
@@ -93,7 +94,7 @@ class FunctionalCircuit:
         self.blocks = []
         for ci in block_order(assignment, ordering):
             con, kind = problem.constraints[ci], assignment[ci]
-            if (fails := can_fail(con.coeffs, con.bound)) or kind == ZENO:  # ZENO blocks always mix
+            if (fails := ci in model.layout.registers) or kind == ZENO:  # ZENO blocks always mix
                 keep = excess[ci] == 0 if fails and kind == ZENO else None
                 self.blocks.append(_Block(kind, f"{ci} ({con.label!r})", excess[ci], keep))
         self.initial = initial_row(problem, assignment, 1 << (n - self.n_vars))

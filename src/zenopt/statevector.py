@@ -93,15 +93,13 @@ _GATE_RULES = {
 # that holds a gate on two or more qubits (64 x 64: such a run does not
 # factor, so each qubit it takes in saves whole passes over the state);
 # the amplitudes one of a span's matmuls covers, which bounds the run's
-# temporaries (256 KiB); the highest lo whose tiles a span transposes into
-# one matmul (rows of at most 16 amplitudes); and the low qubits a diagonal
-# table on qubit 0 covers.
+# temporaries (256 KiB); and the highest lo whose tiles a span transposes
+# into one matmul (rows of at most 16 amplitudes).
 _DIAGONAL = frozenset({RZ, RZZ, CPHASE})
 _SPAN_QUBITS = 4
 _ENTANGLING_SPAN_QUBITS = 6
 _SPAN_CHUNK = 1 << 14
 _NARROW_LO = 4
-_DIAGONAL_LOW = 6
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -334,16 +332,9 @@ def _apply_diagonal_run(amps: np.ndarray, run: list[Gate], n_qubits: int) -> Non
     (b+1)-qubit state.  Diagonal gates commute, so this is the table of the
     whole run, and each gate touches 2**(top+1) entries instead of 2**k.  The
     table is the run's only allocation.  It then scales the
-    one-axis-per-qubit view of the state in one broadcast.  When the run
-    touches qubit 0 the table also covers every qubit below
-    ``_DIAGONAL_LOW``, so the broadcast's innermost loop runs over at least
-    64 contiguous amplitudes (or a whole smaller state) instead of as few as
-    2.
+    one-axis-per-qubit view of the state in one broadcast.
     """
-    qubits = {q for gate in run for q in gate.qubits}
-    if 0 in qubits:
-        qubits.update(range(min(n_qubits, _DIAGONAL_LOW)))
-    qubits = sorted(qubits)
+    qubits = sorted({q for gate in run for q in gate.qubits})
     label = {q: i for i, q in enumerate(qubits)}
     by_top: list[list[Gate]] = [[] for _ in qubits]
     for gate in run:

@@ -218,10 +218,10 @@ def test_zeno_layer_infeasible_entry_annihilates():
 
 def test_zeno_layer_vacuous_bound_only_mixes():
     # Bound 16 >= 2^4 (the weight register width): no cost can violate it,
-    # so each sub-block is the RX wall alone, with no flag to project.
+    # so the layout gives it no register and each sub-block is the RX wall
+    # alone, with no flag to project.
     problem = cargo()
-    reg = compiled_model(problem, WEIGHT_ZENO, MULT).layout.registers[0]
-    gates, positions = build_zeno_layer(problem.constraints[0].coeffs, 16, reg, 0.3, 2, range(6))
+    gates, positions = build_zeno_layer(problem.constraints[0].coeffs, 16, None, 0.3, 2, range(6))
     assert positions == []
     assert [g.kind for g in gates] == ["RX"] * 12
 
@@ -335,18 +335,18 @@ def test_prepare_initial_state_tight_bound():
 
 def _prep_folded(problem, assignment, layout):
     """The Hadamard wall and each ZENO flag circuit (compute, project,
-    uncompute) folded one gate at a time."""
+    uncompute) folded one gate at a time, for each ZENO constraint with a
+    register."""
     wall = [gate_h(q) for q in (*layout.decision, *layout.slack)]
     state = functools.reduce(apply_gate, wall, new_state(layout.n_qubits))
     for ci, kind in enumerate(assignment):
-        if kind != ZENO:
-            continue
+        if kind != ZENO or ci not in layout.registers:
+            continue  # a constraint that cannot fail has no flag to project
         con, reg = problem.constraints[ci], layout.registers[ci]
-        gates, positions = build_zeno_layer(con.coeffs, con.bound, reg, 0.0, 1, ())
-        for position in positions:  # one site, or none for a vacuous bound
-            state = functools.reduce(apply_gate, gates[:position], state)
-            state = project_qubit(state, reg.flag_qubit, 0)
-            state = functools.reduce(apply_gate, gates[position:], state)
+        gates, (position,) = build_zeno_layer(con.coeffs, con.bound, reg, 0.0, 1, ())
+        state = functools.reduce(apply_gate, gates[:position], state)
+        state = project_qubit(state, reg.flag_qubit, 0)
+        state = functools.reduce(apply_gate, gates[position:], state)
     return state
 
 

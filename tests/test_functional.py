@@ -4,7 +4,7 @@ Problem ``seed`` has 1 + seed % 5 variables and seed % 4 constraints.
 Constraint ci of problem seed takes kind REP_KINDS[(seed + ci) % 3] and
 style STYLES[(seed + ci) % 4], so the 20 problems pair every kind with every
 style: ordinary, bound 0, vacuous bound (2^width, above the coefficient sum,
-so the constraint cannot fail and neither backend has a flag for it) and
+so the constraint cannot fail and its layout has no register for it) and
 all-zero coefficients.  Each problem runs under every ordering at p in {1, 2}
 and Q in {1, 3}.  Three wider problems (6-8 variables, 4 constraints) run the
 same grid.
@@ -21,14 +21,13 @@ from zenopt import (
     LayerParams,
     Multipliers,
     build_circuit,
-    build_dephasing_layer,
     circuit_stats,
     evaluate_params,
     prepare_initial_state,
     register_width,
     run_circuit,
 )
-from zenopt.builder import ancilla_mass
+from zenopt.builder import ancilla_mass, compiled_model
 from zenopt.problem import DEPHASE, QAOA, REP_KINDS, ZENO, can_fail, feasible_mask, subset_sums
 from zenopt.zeno import expm_hermitian, zeno_hamiltonian
 
@@ -98,26 +97,34 @@ def test_functional_matches_gate_on_random_problem(seed):
 
 
 def test_backends_read_one_can_fail_rule():
-    """Both backends read ``can_fail``: on every seeded problem and at every
-    (p, Q), the gate circuit makes p * Q flag projections per ZENO block that
-    the functional backend projects, and a DEPHASE constraint adds gates and
-    a functional block exactly when it can fail."""
+    """``build_layout`` is the one reader of ``can_fail`` and both backends
+    read its layout.  On every seeded problem the registers are exactly the
+    DEPHASE/ZENO constraints that can fail, ``n_qubits`` counts the n_bits
+    decision and slack qubits plus each distinct pooled register and its
+    flag once, and at every (p, Q) every ancilla qubit is touched by a gate,
+    the gate circuit makes p * Q flag projections per ZENO block that the
+    functional backend projects, and the functional backend has a dephasing
+    block for every DEPHASE register."""
     for seed in range(20):
         _, problem, assignment, mult = _random_case(seed)
+        layout = compiled_model(problem, assignment, mult).layout
+        failing = {
+            ci for ci, con in enumerate(problem.constraints)
+            if assignment[ci] != QAOA and can_fail(con.coeffs, con.bound)
+        }
+        assert set(layout.registers) == failing, seed
+        pooled = {reg.flag_qubit: reg.width_m for reg in layout.registers.values()}
+        n_bits = len(layout.decision) + len(layout.slack)
+        assert layout.n_qubits == n_bits + sum(width + 1 for width in pooled.values()), seed
         functional = FunctionalCircuit(problem, assignment, mult)
         projecting = sum(block.keep is not None for block in functional.blocks)
         dephasing = sum(block.kind == DEPHASE for block in functional.blocks)
+        assert dephasing == sum(assignment[ci] == DEPHASE for ci in layout.registers), seed
         for p, q in LAYERS:
             circuit = build_circuit(problem, assignment, mult, LayerParams((0.3,) * p, (0.5,) * p, q))
             assert circuit_stats(circuit).n_clbits == p * q * projecting, (seed, p, q)
-            failing = 0
-            for ci, con in enumerate(problem.constraints):
-                if assignment[ci] == DEPHASE:
-                    reg = circuit.layout.registers[ci]
-                    layer = build_dephasing_layer(con.coeffs, con.bound, reg, mult.alpha, 0.3)
-                    assert bool(layer) == can_fail(con.coeffs, con.bound), (seed, ci)
-                    failing += bool(layer)
-            assert failing == dephasing, seed
+            touched = {qubit for gate in circuit.gates for qubit in gate.qubits}
+            assert set(layout.ancilla) <= touched, (seed, p, q)
 
 
 # Wider problems: 6-8 variables and 4 constraints, each on 3 variables with

@@ -506,9 +506,8 @@ def _mixed_cases(n, rng):
 
 def _diagonal_runs(n, rng):
     """Named diagonal runs: RZ, RZZ on all pairs, CPHASE on 3 to all qubits
-    and phase gates, over every qubit and over qubits 1..n-1 (no
-    ``_DIAGONAL_LOW`` padding) or a gapped subset of them, each listed
-    top-qubit-first and bottom-first."""
+    and phase gates, over every qubit, over qubits 1..n-1 or over a gapped
+    subset of them, each listed top-qubit-first and bottom-first."""
 
     def angle():
         return float(rng.uniform(-np.pi, np.pi))
