@@ -37,7 +37,7 @@ from .arithmetic import (
     build_uncompute,
     register_width,
 )
-from .errors import InputError, LayoutError, check_finite, check_int
+from .errors import INT64_MAX, InputError, LayoutError, check_finite, check_int, check_tuple
 from .problem import (
     DEPHASE,
     QAOA,
@@ -82,6 +82,8 @@ class LayerParams:
     q_measurements: int = 1
 
     def __post_init__(self):
+        for name in ("gamma", "beta"):
+            object.__setattr__(self, name, check_tuple(getattr(self, name), name))
         if len(self.gamma) != len(self.beta) or not self.gamma:
             raise InputError("gamma and beta must have equal, positive length")
         for name, angles in (("gamma", self.gamma), ("beta", self.beta)):
@@ -95,7 +97,7 @@ class LayerParams:
 
     @staticmethod
     def initial(p_layers: int = 1, q_measurements: int = 1) -> "LayerParams":
-        check_int(p_layers, "p_layers", 1)
+        check_int(p_layers, "p_layers", 1, INT64_MAX)
         return LayerParams((0.1,) * p_layers, (0.1,) * p_layers, q_measurements)
 
 
@@ -183,12 +185,8 @@ def build_phase_return(ising: IsingCoeffs, gamma: float) -> list[Gate]:
     sign flip relative to the stored spin coefficients because the spin
     variable 2x-1 is the negated Z eigenvalue of the basis state.
     """
-    gates: list[Gate] = []
-    for i, coeff in sorted(ising.z.items()):
-        gates.append(gate_rz(i, -2.0 * gamma * coeff))
-    for (i, j), coeff in sorted(ising.zz.items()):
-        gates.append(gate_rzz(i, j, 2.0 * gamma * coeff))
-    return gates
+    gates = [gate_rz(i, -2.0 * gamma * coeff) for i, coeff in sorted(ising.z.items())]
+    return gates + [gate_rzz(i, j, 2.0 * gamma * coeff) for (i, j), coeff in sorted(ising.zz.items())]
 
 
 def _penalty_phase_gates(reg: CostRegisterLayout, bound: int, alpha: float, theta: float) -> list[Gate]:
@@ -300,7 +298,7 @@ def build_circuit(
     ordering: str = NATURAL,
 ) -> HybridCircuit:
     """Full hybrid circuit for a representation assignment."""
-    assignment = tuple(assignment)
+    assignment = check_kinds(assignment)
     model = compiled_model(problem, assignment, mult)
     blocks = block_order(assignment, ordering)
     ising, layout = model.ising, model.layout
@@ -415,12 +413,10 @@ def circuit_stats(circuit: HybridCircuit) -> CircuitStats:
 
 def circuit_to_json(circuit: HybridCircuit) -> str:
     """Stable JSON dump of the gate stream for golden tests."""
-    gates = []
-    for g in circuit.gates:
-        entry: dict = {"kind": g.kind, "qubits": list(g.qubits)}
-        if g.has_angle:
-            entry["angle"] = g.angle
-        gates.append(entry)
+    gates = [
+        {"kind": g.kind, "qubits": list(g.qubits), **({"angle": g.angle} if g.has_angle else {})}
+        for g in circuit.gates
+    ]
     doc = {
         "n_qubits": circuit.layout.n_qubits,
         "gates": gates,

@@ -82,10 +82,7 @@ def _add_shared(sub: argparse.ArgumentParser, *names: str) -> None:
 
 def _multipliers(problem, args) -> Multipliers:
     if args.lam is None:
-        mult = default_multipliers(problem)
-        if args.alpha is not None:
-            mult = Multipliers(mult.lambdas, args.alpha)
-        return mult
+        return default_multipliers(problem, args.alpha)
     return Multipliers.uniform(problem.n_constraints, args.lam, args.alpha)
 
 
@@ -161,9 +158,7 @@ def _cmd_zeno_demo(args) -> None:
 def _cmd_baseline_sa(args) -> None:
     problem = load_problem(args.problem)
     mult = _multipliers(problem, args)
-    schedule = AnnealSchedule(
-        t_start=args.t_start, t_end=args.t_end, steps=args.steps, seed=args.seed
-    )
+    schedule = AnnealSchedule(args.t_start, args.t_end, args.steps, args.seed)
     result = anneal(problem, mult, schedule)
     write_sa_csv(result.visit_trace, args.out)
     print(f"best state {result.best_state} cost {result.best_cost:.6f} -> {args.out}")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+INT64_MAX = 2**63 - 1  # numpy's integer arguments and the exact enumeration's sums are int64
+
 
 class ZenoptError(Exception):
     """Base class for all library errors."""
@@ -33,16 +35,26 @@ class InputError(ZenoptError):
     """User-supplied input is malformed or inconsistent."""
 
 
-def check_int(value, what: str, low: int | None = None) -> None:
+def check_int(value, what: str, low: int | None = None, high: int | None = None) -> None:
     """InputError naming ``what`` and ``value`` unless ``value`` is a Python or
-    numpy integer (never ``bool``), at least ``low`` when one is given."""
+    numpy integer (never ``bool``), at least ``low`` and at most ``high`` when given."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InputError(f"{what} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise InputError(f"{what} must be >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise InputError(f"{what} must be <= {high}, got {value!r}")
 
 
 def check_finite(value, what: str) -> None:
-    """InputError naming ``what`` and ``value`` unless ``value`` is finite."""
-    if not math.isfinite(value):
+    """InputError naming ``what`` and ``value`` unless ``value`` is a finite real number."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or not math.isfinite(value):
         raise InputError(f"{what} must be finite, got {value}")
+
+
+def check_tuple(value, what: str) -> tuple:
+    """``value`` as a tuple; InputError naming ``what`` unless it is iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, got {value!r}") from None

@@ -8,10 +8,11 @@ order, as
 
 - phase return: psi *= exp(-i*gamma*(cost - identity));
 - dephasing block: psi *= exp(-i*gamma*alpha*max(0, a.x - b));
-- Zeno sub-block, Q per block: RX(beta/Q) on every decision bit, then the
+- Zeno sub-block, Q per block: RX(beta/Q) on every decision bit
+  (``statevector.rx_wall``, on the pair views of the flat psi), then the
   projection onto a.x <= b in place (dropped columns zeroed, psi divided by
   the root of the kept probability), which is multiplied into the survival;
-- mixer wall: RX(beta) on the builder's mixer targets.
+- mixer wall: RX(beta) on the builder's mixer targets, by ``rx_wall`` too.
 
 The initial state is one row, uniform over the decision states that satisfy
 every ZENO constraint, repeated for every slack value; ``initial_row`` builds
@@ -22,7 +23,8 @@ has no flag in the gate circuit, so here no dephasing block and no projection.  
 2^n bytes, 16 * 2^n while built), and 2^n_vars arrays: its complex initial row
 (16 * 2^n_vars bytes), the solution masks, and its blocks' excess rows and Zeno
 masks.  A run allocates psi and, per phase return, one complex exponent taken
-in place: 32 * 2^n bytes at its peak.  Every limit is checked before any 2^n
+in place, or per wall qubit a copy of half of psi and one product of that
+size: 32 * 2^n bytes at its peak.  Every limit is checked before any 2^n
 array exists: CapacityError for more than ``MAX_QUBITS`` bits, or, from the
 solution masks built first, for more than ``BRUTE_FORCE_MAX_VARS`` variables.
 These amplitudes are tested against the gate backend's ancilla-zero slice.
@@ -44,8 +46,8 @@ import numpy as np
 from .builder import NATURAL, LayerParams, block_order, compiled_model, initial_row, mixer_targets
 from .errors import CapacityError, EmptySubspaceError
 from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess
-from .problem import qubo_values, solution_masks
-from .statevector import ANNIHILATION_PROB, MAX_QUBITS, Statevector, _apply_inplace, gate_rx
+from .problem import check_kinds, qubo_values, solution_masks
+from .statevector import ANNIHILATION_PROB, MAX_QUBITS, Statevector, rx_wall
 
 
 class EvalResult(NamedTuple):
@@ -73,7 +75,7 @@ class FunctionalCircuit:
         mult: Multipliers,
         ordering: str = NATURAL,
     ):
-        assignment = tuple(assignment)
+        assignment = check_kinds(assignment)
         model = compiled_model(problem, assignment, mult)
         n = model.qubo.n_bits
         if n > MAX_QUBITS:
@@ -99,10 +101,6 @@ class FunctionalCircuit:
                 self.blocks.append(_Block(kind, f"{ci} ({con.label!r})", excess[ci], keep))
         self.initial = initial_row(problem, assignment, 1 << (n - self.n_vars))
 
-    def _rx_wall(self, psi: np.ndarray, qubits, angle: float) -> None:
-        for q in qubits:
-            _apply_inplace(psi.reshape(-1), gate_rx(q, angle), self.n_bits)
-
     def run(self, params: LayerParams) -> Statevector:
         """Final state over the n_bits decision and slack bits, with survival.
 
@@ -122,7 +120,7 @@ class FunctionalCircuit:
                     psi *= np.exp(-1j * gamma * self.alpha * block.excess)
                     continue
                 for q in range(q_meas):
-                    self._rx_wall(psi, self.decision, beta / q_meas)
+                    rx_wall(psi.reshape(-1), self.decision, beta / q_meas)
                     if block.keep is None:
                         continue
                     prob = float(np.sum(np.abs(psi[:, block.keep]) ** 2))
@@ -135,7 +133,7 @@ class FunctionalCircuit:
                     psi[:, ~block.keep] = 0.0
                     psi /= np.sqrt(prob)
                     survival *= prob
-            self._rx_wall(psi, self.mixer, beta)
+            rx_wall(psi.reshape(-1), self.mixer, beta)
         return Statevector(self.n_bits, psi.reshape(-1), survival)
 
     def metrics(self, probs: np.ndarray, survival: float) -> EvalResult:

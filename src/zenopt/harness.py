@@ -173,15 +173,12 @@ def ordering_study(
     kinds = set(assignment)
     if "DEPHASE" not in kinds or "ZENO" not in kinds:
         raise InputError("ordering study needs at least one DEPHASE and one ZENO constraint")
-    rows: dict[str, EvalResult] = {}
-    for ordering in ORDERINGS:
-        if reoptimize:
-            rows[ordering] = optimize(problem, assignment, mult, config, ordering).final
-        else:
-            rows[ordering] = evaluate_params(
-                problem, assignment, mult, config.init_params, ordering
-            )
-    return rows
+    return {
+        ordering: optimize(problem, assignment, mult, config, ordering).final
+        if reoptimize
+        else evaluate_params(problem, assignment, mult, config.init_params, ordering)
+        for ordering in ORDERINGS
+    }
 
 
 def zeno_demo_rows(n_list, t: float = math.pi / 2) -> list[dict[str, float]]:
@@ -194,17 +191,15 @@ def zeno_demo_rows(n_list, t: float = math.pi / 2) -> list[dict[str, float]]:
     pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
     proj0 = np.diag([1.0, 0.0]).astype(complex)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    rows = []
-    for n in n_list:
-        rows.append(
-            {
-                "n": int(n),
-                "survival_empirical": survival_empirical(pauli_x, proj0, psi0, t, n),
-                "survival_analytic": survival_analytic(pauli_x, psi0, t, n),
-                "limit_error": zeno_limit_error(pauli_x, proj0, psi0, t, n),
-            }
-        )
-    return rows
+    return [
+        {
+            "n": int(n),
+            "survival_empirical": survival_empirical(pauli_x, proj0, psi0, t, n),
+            "survival_analytic": survival_analytic(pauli_x, psi0, t, n),
+            "limit_error": zeno_limit_error(pauli_x, proj0, psi0, t, n),
+        }
+        for n in n_list
+    ]
 
 
 def sampled_metrics(
@@ -235,16 +230,8 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _family_csv_row(row: SweepResult) -> list:
     stats = astuple(row.stats) if row.stats else ("",) * len(fields(CircuitStats))
-    return [
-        ",".join(row.assignment),
-        *stats,
-        row.expected_cost,
-        row.p_feasible,
-        row.p_optimal,
-        row.survival_prob,
-        row.wall_time,
-        row.error,
-    ]
+    metrics = (row.expected_cost, row.p_feasible, row.p_optimal, row.survival_prob)
+    return [",".join(row.assignment), *stats, *metrics, row.wall_time, row.error]
 
 
 def write_family_csv(rows: list[SweepResult], path: str) -> None:
@@ -255,12 +242,8 @@ def write_trace_csv(trace: OptimizationTrace, path: str) -> None:
     if not trace.records:
         raise InputError("empty trace")
     p = len(trace.records[0].gamma)
-    header = (
-        ["iter"]
-        + [f"gamma_{i}" for i in range(p)]
-        + [f"beta_{i}" for i in range(p)]
-        + ["expected_cost", "p_feasible", "p_optimal", "survival_prob"]
-    )
+    header = ["iter", *(f"gamma_{i}" for i in range(p)), *(f"beta_{i}" for i in range(p)),
+              "expected_cost", "p_feasible", "p_optimal", "survival_prob"]
     rows = (
         [rec.iteration, *rec.gamma, *rec.beta, rec.expected_cost,
          rec.p_feasible, rec.p_optimal, rec.survival_prob]

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, InputError, check_finite, check_int
+from .errors import INT64_MAX, CapacityError, ContractError, InputError, check_finite, check_int, check_tuple
 from .statevector import basis_string
 
 QAOA = "QAOA"
@@ -33,11 +33,14 @@ class Constraint:
     bound: int
     label: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", check_tuple(self.coeffs, "coeffs"))
+
 
 def _check_int64(value: int, what: str) -> None:
     """InputError unless ``value`` fits int64, in which the exact enumeration
     (``subset_sums``) adds up objectives and constraint sums."""
-    if value > np.iinfo(np.int64).max:
+    if value > INT64_MAX:
         raise InputError(f"{what} is {value}, more than 2^63 - 1")
 
 
@@ -52,12 +55,16 @@ class ConstrainedBinaryProblem:
 
     def __post_init__(self):
         check_int(self.n_vars, "n_vars", 1)
+        for name in ("objective", "constraints", "var_labels"):
+            object.__setattr__(self, name, check_tuple(getattr(self, name), name))
         if len(self.objective) != self.n_vars:
             raise InputError("objective length must equal n_vars")
         for i, c in enumerate(self.objective):
             check_int(c, f"objective entry {i}")
         _check_int64(sum(abs(int(c)) for c in self.objective), "the sum of |objective entries|")
         for con in self.constraints:
+            if not isinstance(con, Constraint):
+                raise InputError(f"constraints must hold Constraint values, got {con!r}")
             if len(con.coeffs) != self.n_vars:
                 raise InputError(f"constraint {con.label!r} has wrong coefficient count")
             for i, a in enumerate(con.coeffs):
@@ -87,6 +94,7 @@ class Multipliers:
     alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lambdas", check_tuple(self.lambdas, "lambdas"))
         for lam in self.lambdas:
             check_finite(lam, "lambda")
         check_finite(self.alpha, "alpha")
@@ -95,14 +103,18 @@ class Multipliers:
 
     @staticmethod
     def uniform(n_constraints: int, lam: float, alpha: float | None = None) -> "Multipliers":
-        check_int(n_constraints, "n_constraints", 0)
-        return Multipliers((float(lam),) * n_constraints, float(lam if alpha is None else alpha))
+        check_int(n_constraints, "n_constraints", 0, INT64_MAX)
+        alpha = lam if alpha is None else alpha
+        check_finite(lam, "lambda")
+        check_finite(alpha, "alpha")
+        return Multipliers((float(lam),) * n_constraints, float(alpha))
 
 
-def default_multipliers(problem: ConstrainedBinaryProblem) -> Multipliers:
-    """Single scalar for every constraint, large enough for penalty dominance."""
+def default_multipliers(problem: ConstrainedBinaryProblem, alpha: float | None = None) -> Multipliers:
+    """Single scalar for every constraint, large enough for penalty dominance;
+    ``alpha`` as in ``Multipliers.uniform``."""
     lam = float(sum(abs(c) for c in problem.objective) + 1)
-    return Multipliers.uniform(problem.n_constraints, lam)
+    return Multipliers.uniform(problem.n_constraints, lam, alpha)
 
 
 def cargo_instance(weights: list[int], n_positions: int, max_weight: int) -> ConstrainedBinaryProblem:
@@ -175,7 +187,7 @@ def qubo_values(qubo: Qubo) -> np.ndarray:
 
 def check_kinds(kinds) -> tuple[str, ...]:
     """The representation kinds as a tuple; InputError for any outside REP_KINDS."""
-    kinds = tuple(kinds)
+    kinds = check_tuple(kinds, "assignment")
     for kind in kinds:
         if kind not in REP_KINDS:
             raise InputError(f"unknown representation {kind!r}")

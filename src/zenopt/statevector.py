@@ -11,18 +11,19 @@ The kernels check only that the qubits are in range.
 
 Kernels keep no caches.  A gate on two or more qubits acts on a strided view
 of the amplitudes read as one axis per qubit (qubit q is axis n-1-q), with
-the qubits it conditions on pinned to a bit; single-qubit gates and
-projections use the equivalent ``(-1, 2, 2**q)`` reshape.  ``apply_gates``
-runs a gate list and its post-selection sites on one working copy of the
-amplitudes.  Between sites it splits the gates into greedy runs by one rule.
-A run grows while all its gates are diagonal (RZ, RZZ, CPHASE), at any
-width; or while the qubits it touches span at most 4, from its lowest qubit
-lo to its highest hi; or while it holds a gate on two or more qubits and
-spans at most 6.  A diagonal run of two or more gates builds one phase table
-over the qubits it touches, by doubling: each gate acts only on the entries
-up to its highest qubit, and copies extend the table one qubit at a time.
-The table is multiplied into the state in one broadcast.  A
-lone diagonal gate, and a lone gate spanning more than 4 qubits, use the
+the qubits it conditions on pinned to a bit; single-qubit gates, projections
+and ``rx_wall`` (RX on a list of qubits, also the functional backend's
+walls) act on the equivalent pair view, the ``(-1, 2, 2**q)`` reshape.
+``apply_gates`` runs a gate list and its post-selection sites on one working
+copy of the amplitudes.  Between sites it splits the gates into greedy runs
+by one rule.  A run grows while all its gates are diagonal (RZ, RZZ,
+CPHASE), at any width; or while the qubits it touches span at most 4, from
+its lowest qubit lo to its highest hi; or while it holds a gate on two or
+more qubits and spans at most 6.  A diagonal run of two or more gates builds
+one phase table over the qubits it touches, by doubling: each gate acts only
+on the entries up to its highest qubit, and copies extend the table one
+qubit at a time.  The table is multiplied into the state in one broadcast.
+A lone diagonal gate, and a lone gate spanning more than 4 qubits, use the
 per-gate kernel.  Every other run builds one matrix of at most 64 x 64 over
 qubits lo..hi, applied in place by matmuls over slices of the state.
 
@@ -51,8 +52,9 @@ phase table of a diagonal run (never more entries than the state), 256 KiB
 slices (spans, projection sums and marginals), the 256 KiB of buffers
 numpy's ufunc loop takes for a product over a strided view with a short
 contiguous axis, and the swap buffer of a CNOT or MCX spanning more than 4
-qubits, at most a quarter of the state.  ``Statevector.probabilities``,
-``sample`` and ``expectation_diagonal`` still allocate arrays of state size.
+qubits, at most a quarter of the state.  ``rx_wall`` holds two half-array
+temporaries per qubit; ``Statevector.probabilities``, ``sample`` and
+``expectation_diagonal`` allocate arrays of state size.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, EmptySubspaceError, ShapeError, check_int
+from .errors import INT64_MAX, CapacityError, EmptySubspaceError, ShapeError, check_int
 
 MAX_QUBITS = 26
 # After projections of total survival s, amplitudes reproduce only to about 1e-17/sqrt(s).
@@ -244,7 +246,7 @@ def new_state(n_qubits: int) -> Statevector:
     """
     check_int(n_qubits, "n_qubits")
     if not 1 <= n_qubits <= MAX_QUBITS:
-        size = f" ({(16 << n_qubits) / 2**30:g} GiB per state)" if n_qubits > 0 else ""
+        size = f" ({16 * 2.0 ** (n_qubits - 30):g} GiB per state)" if 0 < n_qubits < 1024 else ""
         raise CapacityError(
             f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}{size}: a state takes "
             f"16*2^n bytes, {(16 << MAX_QUBITS) >> 30} GiB at {MAX_QUBITS} qubits, and a "
@@ -260,38 +262,41 @@ def basis_string(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
 
+def rx_wall(amps: np.ndarray, qubits: Sequence[int], angle: float) -> None:
+    """RX(``angle``) in place on ``qubits`` of the flat ``amps``, on their pair views,
+    cos and sin taken once; ShapeError, before any change, for a qubit out of range."""
+    n = amps.size.bit_length() - 1
+    if not all(0 <= q < n for q in qubits):
+        raise ShapeError(f"RX qubits {tuple(qubits)} out of range for {n}-qubit state")
+    c, s = np.cos(angle / 2.0), -1j * np.sin(angle / 2.0)
+    for q in qubits:
+        pair = amps.reshape(-1, 2, 1 << q)
+        a0, a1 = pair[:, 0], pair[:, 1]
+        t = a0.copy()
+        a0 *= c
+        a0 += s * a1
+        a1 *= c
+        a1 += s * t
+
+
 def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     """Apply ``gate`` to ``amps`` in place.  Callers own the array."""
     kind = gate.kind
-    if kind in (H, X, RX, RZ):
-        q = gate.qubits[0]
-        view = amps.reshape(-1, 2, 1 << q)
-        a0 = view[:, 0, :]
-        a1 = view[:, 1, :]
-        if kind == H:
-            t = a0.copy()
-            a0 += a1
-            a0 *= _SQRT1_2
-            np.subtract(t, a1, out=a1)
-            a1 *= _SQRT1_2
-        elif kind == X:
-            t = a0.copy()
-            a0[...] = a1
-            a1[...] = t
-        elif kind == RX:
-            c = np.cos(gate.angle / 2.0)
-            s = -1j * np.sin(gate.angle / 2.0)
-            t = a0.copy()
-            a0 *= c
-            a0 += s * a1
-            a1 *= c
-            a1 += s * t
-        else:  # RZ
-            a0 *= np.exp(-0.5j * gate.angle)
-            a1 *= np.exp(+0.5j * gate.angle)
-        return
-
-    if kind == RZZ:
+    if kind == RX:
+        rx_wall(amps, gate.qubits, gate.angle)
+    elif kind in (H, X, RZ):
+        pair = amps.reshape(-1, 2, 1 << gate.qubits[0])
+        if kind == X:
+            pair[...] = pair[:, ::-1]  # numpy copies an overlapping source first
+        elif kind == H:
+            t = pair[:, ::-1].copy()
+            np.negative(pair[:, 1], out=pair[:, 1])
+            pair += t
+            pair *= _SQRT1_2
+        else:  # RZ: one broadcast of both phases rounds differently on 2 amplitudes
+            pair[:, 0] *= np.exp(-0.5j * gate.angle)
+            pair[:, 1] *= np.exp(+0.5j * gate.angle)
+    elif kind == RZZ:
         a, b = gate.qubits
         # Phase the whole state by e^{-i a/2}, then the odd-parity branch by
         # e^{+i a} on top.
@@ -309,8 +314,6 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
         t = lo.copy()
         lo[...] = hi
         hi[...] = t
-    else:  # pragma: no cover - guarded by Gate.__post_init__
-        raise ShapeError(f"unknown gate kind {kind!r}")
 
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
@@ -537,7 +540,7 @@ def project_qubit(state: Statevector, qubit: int, outcome: int) -> Statevector:
 
 def sample(state: Statevector, shots: int, seed: int) -> dict[str, int]:
     """Multinomial sampling of basis strings; deterministic given ``seed``."""
-    check_int(shots, "shots", 1)
+    check_int(shots, "shots", 1, INT64_MAX)
     check_int(seed, "seed", 0)
     probs = state.probabilities()
     probs = probs / probs.sum()

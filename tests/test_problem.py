@@ -205,6 +205,42 @@ def test_multipliers_reject_non_finite_values(lambdas, alpha, message):
         Multipliers(lambdas, alpha)
 
 
+def test_sequences_are_stored_as_tuples():
+    """Lists and arrays are accepted and stored as tuples, so the problem,
+    multipliers and angles hash into the compiled-model cache and both
+    backends run them as their tuple twins."""
+    listed = ConstrainedBinaryProblem(2, [1, 2], [Constraint([1, 1], 1, "c")], ["a", "b"])
+    problem = ConstrainedBinaryProblem(2, (1, 2), (Constraint((1, 1), 1, "c"),), ("a", "b"))
+    assert listed == problem and hash(listed) == hash(problem)
+    mult = Multipliers([3.0], 0.5)
+    params = LayerParams(np.array([0.2, 0.1]), np.array([0.4, 0.3]), 2)
+    assert mult.lambdas == (3.0,) and params.gamma == (0.2, 0.1) and params.beta == (0.4, 0.3)
+    state = FunctionalCircuit(listed, ["ZENO"], mult).run(params)
+    assert np.array_equal(state.amplitudes, FunctionalCircuit(problem, ("ZENO",), mult).run(params).amplitudes)
+    assert build_circuit(listed, ["ZENO"], mult, params).gates == build_circuit(problem, ("ZENO",), mult, params).gates
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ConstrainedBinaryProblem(1, None, ()), "^objective must be a sequence, got None$"),
+    (lambda: ConstrainedBinaryProblem(1, (1,), 3), "^constraints must be a sequence, got 3$"),
+    (lambda: ConstrainedBinaryProblem(1, (1,), ("c",)), "^constraints must hold Constraint values, got 'c'$"),
+    (lambda: Constraint(2, 1), "^coeffs must be a sequence, got 2$"),
+    (lambda: Multipliers(1.0, 1.0), "^lambdas must be a sequence, got 1.0$"),
+    (lambda: Multipliers(("x",), 1.0), "^lambda must be finite, got x$"),
+    (lambda: Multipliers.uniform(2, "x"), "^lambda must be finite, got x$"),
+    (lambda: Multipliers.uniform(2, 1.0, 1j), r"^alpha must be finite, got 1j$"),
+    (lambda: Multipliers.uniform(2**63, 1.0), "^n_constraints must be <= 9223372036854775807"),
+    (lambda: LayerParams(None, (0.1,)), "^gamma must be a sequence, got None$"),
+    (lambda: LayerParams.initial(2**63), "^p_layers must be <= 9223372036854775807"),
+    (lambda: build_circuit(cargo(), None, Multipliers.uniform(7, 1.0), LayerParams.initial()),
+     "^assignment must be a sequence, got None$"),
+    (lambda: FunctionalCircuit(cargo(), 3, Multipliers.uniform(7, 1.0)), "^assignment must be a sequence, got 3$"),
+])
+def test_wrong_types_raise_input_errors(make, message):
+    with pytest.raises(InputError, match=message):
+        make()
+
+
 def test_qubo_to_ising_single_linear_bit():
     qubo = Qubo(1, np.zeros((1, 1)), np.array([1.0]), 0.0, {})
     ising = qubo_to_ising(qubo)

@@ -1,12 +1,14 @@
-"""Property-based differential tests: both backends agree on drawn problems.
+"""Property-based tests of the compile and both backends.
 
 Hypothesis draws problems of 1-4 variables and 0-3 constraints with
 coefficients up to 1, 3, 7 or 100 and bounds from 0 to the coefficient sum
 + 2, so bound-zero, vacuous (bound at or above the sum) and all-zero
 constraints all occur; any kinds in any ordering, p <= 2, Q <= 3 and angles
-in [-3, 3].  Draws whose gate circuit would exceed ``MAX_GATE_QUBITS`` are
-discarded, which keeps every state at most 256 KiB.  The runs are
-derandomized with no example database, so the suite stays deterministic.
+in [-3, 3].  Draws whose gate circuit would exceed ``MAX_GATE_QUBITS``, or
+whose QUBO would exceed ``MAX_TABLE_BITS``, are discarded, which keeps every
+state and table at most 256 KiB.  A last property feeds values of the wrong
+type, size or range to the public constructors and entry points.  The runs
+are derandomized with no example database, so the suite stays deterministic.
 """
 
 import numpy as np
@@ -15,24 +17,32 @@ from hypothesis import strategies as st
 
 from zenopt import (
     ORDERINGS,
+    QAOA,
     ConstrainedBinaryProblem,
     Constraint,
     FunctionalCircuit,
     LayerParams,
     Multipliers,
+    OptimizerConfig,
     build_circuit,
+    compile_qubo,
+    new_state,
     prepare_initial_state,
+    qubo_values,
     run_circuit,
+    sample,
 )
 from zenopt.builder import ancilla_mass
 from zenopt.errors import ZenoptError
-from zenopt.problem import REP_KINDS
+from zenopt.problem import REP_KINDS, constraint_excess, subset_sums
 
 MAX_GATE_QUBITS = 14
+MAX_TABLE_BITS = 14
 
 
 @st.composite
-def cases(draw):
+def problems(draw):
+    """A problem, an assignment of kinds and multipliers."""
     n_vars = draw(st.integers(1, 4))
     top = draw(st.sampled_from((1, 3, 7, 100)))
     constraints = []
@@ -43,6 +53,12 @@ def cases(draw):
     problem = ConstrainedBinaryProblem(n_vars, objective, tuple(constraints))
     assignment = tuple(draw(st.sampled_from(REP_KINDS)) for _ in constraints)
     mult = Multipliers.uniform(len(constraints), draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 2.0)))
+    return problem, assignment, mult
+
+
+@st.composite
+def cases(draw):
+    problem, assignment, mult = draw(problems())
     p = draw(st.integers(1, 2))
     angles = st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p)
     params = LayerParams(tuple(draw(angles)), tuple(draw(angles)), draw(st.integers(1, 3)))
@@ -75,3 +91,81 @@ def test_backends_agree_on_drawn_problems(case):
     gate_slice = gate.amplitudes[: 1 << functional.n_qubits]
     assert np.max(np.abs(gate_slice - functional.amplitudes)) <= 1e-8
     assert abs(gate.survival_prob - functional.survival_prob) <= 1e-10
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(problems())
+def test_qubo_minimized_over_slack_is_the_penalized_objective(case):
+    """min over the QAOA slack bits of the QUBO is -objective.x plus, per QAOA
+    constraint, lambda * max(0, a.x - b)^2, for every decision state x."""
+    problem, assignment, mult = case
+    qubo = compile_qubo(problem, assignment, mult)
+    assume(qubo.n_bits <= MAX_TABLE_BITS)
+    table = qubo_values(qubo).reshape(-1, 1 << problem.n_vars)
+    expected = -subset_sums(problem.objective).astype(float)
+    for ci, kind in enumerate(assignment):
+        if kind == QAOA:
+            expected += mult.lambdas[ci] * constraint_excess(problem)[ci].astype(float) ** 2
+    # Rounding: the drawn tables stay within 2e-16 of their largest entry.
+    tol = 1e-12 * max(1.0, float(np.abs(table).max()))
+    assert np.max(np.abs(table.min(axis=0) - expected)) <= tol
+
+
+# Values of the wrong type or out of range, for scalar and sequence fields
+# alike.  No integer from 65 to 2^63 - 1: a count field (p_layers, shots)
+# accepts it and would allocate that many entries.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(-(2**70), 64) | st.integers(2**63, 2**70),
+    st.floats(),
+    st.complex_numbers(),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.lists(st.none() | st.text(max_size=1) | st.floats(), min_size=1, max_size=2).map(tuple),
+)
+_PROBLEM = ConstrainedBinaryProblem(2, (1, -2), (Constraint((1, 1), 1, "c0"), Constraint((2, 1), 2, "c1")))
+_PARAMS = LayerParams((0.3,), (0.2,), 2)
+_BACKEND = dict(problem=_PROBLEM, assignment=("ZENO", "DEPHASE"), mult=Multipliers((1.0, 2.0), 0.5))
+# Each entry point with valid keyword arguments.  Every field but ``problem``
+# and ``params`` takes a drawn value; ``mult`` takes multipliers for 0-3
+# constraints (the problem has 2), the others take JUNK.
+ENTRY_POINTS = {
+    "ConstrainedBinaryProblem": (
+        ConstrainedBinaryProblem,
+        dict(n_vars=2, objective=(1, -2), constraints=_PROBLEM.constraints, var_labels=("a", "b")),
+    ),
+    "Constraint": (
+        lambda **kw: ConstrainedBinaryProblem(2, (1, 1), (Constraint(**kw),)),
+        dict(coeffs=(1, 1), bound=1, label="c"),
+    ),
+    "Multipliers": (Multipliers, dict(lambdas=(1.0, 2.0), alpha=0.5)),
+    "Multipliers.uniform": (Multipliers.uniform, dict(n_constraints=2, lam=1.0, alpha=0.5)),
+    "LayerParams": (LayerParams, dict(gamma=(0.3,), beta=(0.2,), q_measurements=2)),
+    "LayerParams.initial": (LayerParams.initial, dict(p_layers=1, q_measurements=1)),
+    "OptimizerConfig": (OptimizerConfig, dict(max_iters=5, seed=0)),
+    "build_circuit": (build_circuit, dict(_BACKEND, params=_PARAMS, ordering="natural")),
+    "FunctionalCircuit": (
+        lambda **kw: FunctionalCircuit(**kw).run(_PARAMS),
+        dict(_BACKEND, ordering="natural"),
+    ),
+    "new_state": (new_state, dict(n_qubits=3)),
+    "sample": (lambda **kw: sample(new_state(2), **kw), dict(shots=5, seed=0)),
+}
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_broken_values_raise_zenopt_errors(data):
+    """One field of one entry point takes a value of the wrong type, size or
+    range: the call raises a ZenoptError subclass, never a raw Python or numpy
+    error.  A value the documented checks accept (a float angle, a small
+    count) may succeed."""
+    name = data.draw(st.sampled_from(sorted(ENTRY_POINTS)), label="entry point")
+    fn, kwargs = ENTRY_POINTS[name]
+    field = data.draw(st.sampled_from(sorted(set(kwargs) - {"problem", "params"})), label="field")
+    values = st.integers(0, 3).map(lambda k: Multipliers.uniform(k, 1.0)) if field == "mult" else JUNK
+    try:
+        fn(**{**kwargs, field: data.draw(values, label="value")})
+    except ZenoptError:
+        pass

@@ -31,6 +31,7 @@ from zenopt.statevector import (
     gate_rz,
     gate_rzz,
     gate_x,
+    rx_wall,
 )
 
 
@@ -48,6 +49,18 @@ def test_new_state_two_qubits():
 def test_new_state_capacity(n):
     with pytest.raises(CapacityError):
         new_state(n)
+
+
+def test_huge_counts_raise_without_allocating():
+    """The capacity message states the GiB without building 16 << n, and
+    numpy's int64 multinomial count bounds ``shots``."""
+    with pytest.raises(CapacityError, match=r"got 27 \(2 GiB per state\)"):
+        new_state(27)
+    for n in (2**40, 2**63, 2**70):
+        with pytest.raises(CapacityError, match=f"got {n}: a state takes"):
+            new_state(n)
+    with pytest.raises(InputError, match="^shots must be <= 9223372036854775807, got"):
+        sample(new_state(1), 2**63, 0)
 
 
 @pytest.mark.parametrize("n", [2.5, True, "3", None])
@@ -350,6 +363,32 @@ def test_gate_kernels_match_dense_unitaries(n):
         expected = _dense(gate, n) @ state.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-12, gate
         assert out.survival_prob == state.survival_prob
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rx_wall_matches_the_dense_kronecker_product(n):
+    rng = np.random.default_rng(300 + n)
+    walls = {
+        "empty": [],
+        "one": [int(rng.integers(n))],
+        "unsorted": list(reversed(range(n))),
+        "non-adjacent": list(range(0, n, 2)),
+        "all": list(range(n)),
+    }
+    for name, qubits in walls.items():
+        angle = float(rng.uniform(-np.pi, np.pi))
+        c, s = np.cos(angle / 2), np.sin(angle / 2)
+        rx = np.array([[c, -1j * s], [-1j * s, c]])
+        state = _random_state(n, rng)
+        amps = state.amplitudes.copy()
+        rx_wall(amps, qubits, angle)
+        expected = _embed(n, dict.fromkeys(qubits, rx)) @ state.amplitudes
+        assert np.max(np.abs(amps - expected)) < 1e-12, name
+    before = amps.copy()
+    for bad in (-1, n):
+        with pytest.raises(ShapeError, match=f"out of range for {n}-qubit state"):
+            rx_wall(amps, [0, bad], 0.3)
+        assert np.array_equal(amps, before), "a rejected wall changed the amplitudes"
 
 
 @pytest.mark.parametrize("n", range(1, 7))
