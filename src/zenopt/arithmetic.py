@@ -20,7 +20,6 @@ from .statevector import (
     gate_cphase,
     gate_h,
     gate_mcx,
-    gate_phase,
     gate_x,
 )
 
@@ -64,16 +63,12 @@ def _qft(qubits: Sequence[int]) -> list[Gate]:
     return gates
 
 
-def _fourier_add_gates(value: int, control: int | None, cost_qubits: Sequence[int]) -> list[Gate]:
-    """Phase rotations adding ``value`` (optionally controlled) in Fourier space."""
+def _fourier_add_gates(value: int, control: int, cost_qubits: Sequence[int]) -> list[Gate]:
+    """Phase rotations adding ``value``, controlled by ``control``, in Fourier space."""
     gates: list[Gate] = []
     for k, q in enumerate(cost_qubits):
         angle = _TWO_PI * value / (1 << (k + 1))
-        if angle % _TWO_PI == 0.0:
-            continue
-        if control is None:
-            gates.append(gate_phase(q, angle))
-        else:
+        if angle % _TWO_PI != 0.0:
             gates.append(gate_cphase((control, q), angle))
     return gates
 

@@ -22,9 +22,11 @@ has no flag in the gate circuit, so here no dephasing block and no projection.  
 ``FunctionalCircuit`` holds one 2^n array, its cost table (``qubo_values``: 8 *
 2^n bytes, 16 * 2^n while built), and 2^n_vars arrays: its complex initial row
 (16 * 2^n_vars bytes), the solution masks, and its blocks' excess rows and Zeno
-masks.  A run allocates psi and, per phase return, one complex exponent taken
-in place, or per wall qubit a copy of half of psi and one product of that
-size: 32 * 2^n bytes at its peak.  Every limit is checked before any 2^n
+masks.  A run allocates psi and, beside it, at most one of: per phase return,
+one complex exponent taken in place; per wall qubit, a copy of half of psi
+and one product of that size; per Zeno projection, the probability read's
+24 bytes per kept amplitude.  So it peaks at 16 * 2^n + max(16 * 2^n,
+24 * kept) bytes.  Every limit is checked before any 2^n
 array exists: CapacityError for more than ``MAX_QUBITS`` bits, or, from the
 solution masks built first, for more than ``BRUTE_FORCE_MAX_VARS`` variables.
 These amplitudes are tested against the gate backend's ancilla-zero slice.

@@ -27,10 +27,10 @@ from .builder import (
     build_circuit,
     circuit_stats,
 )
-from .errors import CapacityError, InputError, ZenoptError, check_finite, check_int
+from .errors import CapacityError, InputError, ZenoptError, check_finite, check_int, check_tuple
 from .functional import EvalResult, FunctionalCircuit
 from .optimizer import OptimizationTrace, OptimizerConfig, evaluate_params, optimize
-from .problem import REP_KINDS, ConstrainedBinaryProblem, Multipliers
+from .problem import DEPHASE, REP_KINDS, ZENO, ConstrainedBinaryProblem, Multipliers, check_kinds
 from .statevector import basis_string, marginal_probabilities, sample
 from .zeno import survival_analytic, survival_empirical, zeno_limit_error
 
@@ -77,7 +77,7 @@ def run_assignment(
 ) -> SweepResult:
     """Optimize one assignment and collect its stats row; a ZenoptError ends
     the row with NaN metrics and the error, keeping any stats already built."""
-    assignment = tuple(assignment)
+    assignment = check_tuple(assignment, "assignment")
     start = time.perf_counter()
     stats, final, error = None, EvalResult(*(math.nan,) * 4), ""
     try:
@@ -123,6 +123,9 @@ def lagrange_sweep(
     ordering: str = NATURAL,
 ) -> list[tuple[float, EvalResult]]:
     """Optimized run metrics per Lagrange multiplier value."""
+    assignment, lambdas = check_kinds(assignment), check_tuple(lambdas, "lambdas")
+    for v in lambdas:
+        check_finite(v, "lambda")
     lambdas = [float(v) for v in lambdas]
     if not lambdas or any(v <= 0 for v in lambdas):
         raise InputError("lambda values must be positive")
@@ -131,7 +134,7 @@ def lagrange_sweep(
     # Built before any search, so a bad value fails at once.
     mults = [Multipliers.uniform(problem.n_constraints, lam) for lam in lambdas]
     return [
-        (lam, optimize(problem, tuple(assignment), mult, config, ordering).final)
+        (lam, optimize(problem, assignment, mult, config, ordering).final)
         for lam, mult in zip(lambdas, mults)
     ]
 
@@ -169,9 +172,8 @@ def ordering_study(
     parameters, which isolates the effect of reordering the constraint
     blocks; with reoptimize=True each ordering gets its own full search.
     """
-    assignment = tuple(assignment)
-    kinds = set(assignment)
-    if "DEPHASE" not in kinds or "ZENO" not in kinds:
+    assignment = check_kinds(assignment)
+    if DEPHASE not in assignment or ZENO not in assignment:
         raise InputError("ordering study needs at least one DEPHASE and one ZENO constraint")
     return {
         ordering: optimize(problem, assignment, mult, config, ordering).final
@@ -183,6 +185,7 @@ def ordering_study(
 
 def zeno_demo_rows(n_list, t: float = math.pi / 2) -> list[dict[str, float]]:
     """Two-level survival study: X Hamiltonian, projection onto |0><0|."""
+    n_list = check_tuple(n_list, "n_list")
     if not n_list:
         raise InputError("n_list must contain positive measurement counts")
     for n in n_list:

@@ -54,10 +54,6 @@ class OptimizationTrace:
     final: EvalResult
     wall_time: float
 
-    @property
-    def best_cost(self) -> float:
-        return self.final.expected_cost
-
 
 # A search point whose Zeno projection annihilated the state: the search
 # moves away from it instead of losing the run.

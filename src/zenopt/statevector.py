@@ -48,13 +48,14 @@ time, and is still mapped and populated in full when runs act on a prefix;
 holds about 16 * 2**k bytes, and one gate evaluation (prepare, run,
 ``marginal_probabilities``, ``Statevector.norm_error``) holds the caller's
 state plus one mapped working copy.  Beyond those it allocates at most one
-phase table of a diagonal run (never more entries than the state), 256 KiB
-slices (spans, projection sums and marginals), the 256 KiB of buffers
-numpy's ufunc loop takes for a product over a strided view with a short
-contiguous axis, and the swap buffer of a CNOT or MCX spanning more than 4
-qubits, at most a quarter of the state.  ``rx_wall`` holds two half-array
-temporaries per qubit; ``Statevector.probabilities``, ``sample`` and
-``expectation_diagonal`` allocate arrays of state size.
+phase table of a diagonal run (never more entries than the state); one
+slice from ``_slices``, the owner of the 256 KiB bound on every pass over
+the state (spans, projection sums, live-prefix scans and marginals); the
+256 KiB of buffers numpy's ufunc loop takes for a product over a strided
+view with a short contiguous axis; and the swap buffer of a CNOT or MCX
+spanning more than 4 qubits, at most a quarter of the state.  ``rx_wall``
+holds two half-array temporaries per qubit; ``Statevector.probabilities``,
+``sample`` and ``expectation_diagonal`` allocate arrays of state size.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ _GATE_RULES = {
 # mixer walls measured no faster overall); the widest span of a fused run
 # that holds a gate on two or more qubits (64 x 64: such a run does not
 # factor, so each qubit it takes in saves whole passes over the state);
-# the amplitudes one of a span's matmuls covers, which bounds the run's
-# temporaries (256 KiB); and the highest lo whose tiles a span transposes
-# into one matmul (rows of at most 16 amplitudes).
+# the most amplitudes one of ``_slices``' slices holds, which bounds the
+# temporaries of a pass over the state (256 KiB); and the highest lo whose
+# tiles a span transposes into one matmul (rows of at most 16 amplitudes).
 _DIAGONAL = frozenset({RZ, RZZ, CPHASE})
 _SPAN_QUBITS = 4
 _ENTANGLING_SPAN_QUBITS = 6
@@ -390,16 +391,29 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
         yield run, lo, hi, diagonal
 
 
+def _slices(view: np.ndarray):
+    """Sub-views of an ``(a, d, c)`` view, in order, of at most ``_SPAN_CHUNK``
+    amplitudes each: runs of whole ``(d, c)`` tiles, or, when one tile is
+    wider than that, ``_SPAN_CHUNK // d`` of its columns at a time."""
+    a, d, c = view.shape
+    tiles = _SPAN_CHUNK // (d * c)
+    if tiles:
+        for i in range(0, a, tiles):
+            yield view[i : i + tiles]
+        return
+    cols = _SPAN_CHUNK // d
+    for i in range(a):
+        for j in range(0, c, cols):
+            yield view[i : i + 1, :, j : j + cols]
+
+
 def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int, live: int) -> None:
     """Apply a run within qubits lo..hi in place as one d x d matrix.
 
     d = 2**(hi-lo+1) <= 64.  The matrix acts on axis 1 of the
-    ``(2**(n-hi-1), d, 2**lo)`` view, by matmuls over slices of at most
-    ``_SPAN_CHUNK`` amplitudes, so no state-size temporary is made: with
-    lo + width <= 10 on the transposing path, each chunk holds at least one
-    whole tile; on the other path a slice is whole tiles or, when one tile
-    is wider than a chunk, ``_SPAN_CHUNK // d`` of its columns.  Each matmul
-    reads only the k = min(d, 2**max(0, live - lo)) rows below 2**live.
+    ``(2**(n-hi-1), d, 2**lo)`` view, by one matmul per ``_slices`` slice.
+    Each matmul reads only the k = min(d, 2**max(0, live - lo)) rows below
+    2**live.
     """
     width = hi - lo + 1
     d = 1 << width
@@ -409,31 +423,21 @@ def _apply_span(amps: np.ndarray, run: list[Gate], lo: int, hi: int, live: int) 
     u_t = np.eye(d, dtype=np.complex128)
     for gate in run:
         _apply_inplace(u_t.reshape(-1), _relabel(gate, {q: q - lo for q in gate.qubits}), 2 * width)
-    stack = amps.reshape(-1, d, 1 << lo)
-    if lo <= _NARROW_LO:
-        # Tiles of d rows of 2**lo <= 16 amplitudes are too narrow for one
-        # matmul each: transpose a chunk of whole tiles into one (-1, d) block.
-        step = _SPAN_CHUNK >> (width + lo)
-        for i in range(0, len(stack), step):
-            part = stack[i : i + step]
+    for part in _slices(amps.reshape(-1, d, 1 << lo)):
+        if lo <= _NARROW_LO:
+            # Tiles of rows <= 16 wide: transpose them into one (-1, d) block.
             out = part[:, :k].transpose(0, 2, 1).reshape(-1, k) @ u_t[:k]
             part[...] = out.reshape(len(part), -1, d).transpose(0, 2, 1)
-        return
-    # Wider tiles: whole tiles per matmul, or column slices of one tile.
-    tiles = max(1, _SPAN_CHUNK // (d << lo))
-    cols = min(1 << lo, _SPAN_CHUNK // d)
-    for i in range(0, len(stack), tiles):
-        for j in range(0, 1 << lo, cols):
-            part = stack[i : i + tiles, :, j : j + cols]
+        else:
             part[...] = u_t.T[:, :k] @ part[:, :k]
 
 
 def _live(amps: np.ndarray, top: int) -> int:
     """Step ``top`` down while the top half of ``amps[:2**top]`` is all zero,
-    read in ``_SPAN_CHUNK`` slices up to the first nonzero one."""
+    read in ``_slices`` up to the first nonzero one."""
     while top:
         half = amps[1 << (top - 1) : 1 << top]
-        if any(half[i : i + _SPAN_CHUNK].any() for i in range(0, len(half), _SPAN_CHUNK)):
+        if any(part.any() for part in _slices(half.reshape(-1, 1, 1))):
             return top
         top -= 1
     return top
@@ -466,8 +470,7 @@ def _project(amps: np.ndarray, n_qubits: int, projection: Projection) -> float:
 
     ``amps`` may be the prefix of an ``n_qubits``-qubit state that holds its
     nonzero amplitudes; the range check is against ``n_qubits``.  The
-    probability is summed over slices of at most ``_SPAN_CHUNK``
-    amplitudes, so no state-size temporary is made.  Raises
+    probability is summed over ``_slices``.  Raises
     EmptySubspaceError when it is at most ANNIHILATION_PROB, the sign that
     post-selection annihilated the state.
     """
@@ -475,14 +478,8 @@ def _project(amps: np.ndarray, n_qubits: int, projection: Projection) -> float:
     if not 0 <= qubit < n_qubits:
         raise ShapeError(f"qubit {qubit} out of range")
     view = amps.reshape(-1, 2, 1 << qubit)
-    kept = view[:, outcome, :]
-    rows = max(1, _SPAN_CHUNK >> qubit)
-    cols = min(1 << qubit, _SPAN_CHUNK)
-    prob = 0.0
-    for i in range(0, len(kept), rows):
-        for j in range(0, 1 << qubit, cols):
-            part = kept[i : i + rows, j : j + cols]
-            prob += float(np.vdot(part, part).real)
+    kept = view[:, outcome : outcome + 1]
+    prob = sum(float(np.vdot(part, part).real) for part in _slices(kept))
     if prob <= ANNIHILATION_PROB:
         raise EmptySubspaceError(
             f"projection of qubit {qubit} onto |{outcome}> has probability {prob:.3e}"
@@ -566,26 +563,27 @@ def expectation_diagonal(state: Statevector, value_fn: Callable) -> float:
 def marginal_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndarray:
     """Probability of each joint outcome of ``qubits`` (qubits[0] = bit 0).
 
-    Reduced over row slices of ``_SPAN_CHUNK`` amplitudes, so no state-size
-    temporary is made.  Each slice is squared into one buffer and summed over
-    the qubits below the slice width that are not kept; the sum is added to
-    the outputs that the slice's bits on the kept qubits above it select.
+    Reduced over the ``_slices`` of the amplitudes, rows of 2**low, so no
+    state-size temporary is made.  Each row is squared into one buffer and
+    summed over the qubits below ``low`` that are not kept; the sum is added
+    to the outputs that the row's bits on the kept qubits above it select.
     """
     qubits = list(qubits)
     n, k = state.n_qubits, len(qubits)
     if len(set(qubits)) != k or not all(0 <= q < n for q in qubits):
         raise ShapeError(f"marginal qubits {qubits} must be distinct and in [0, {n})")
-    low = min(n, _SPAN_CHUNK.bit_length() - 1)
-    # Read a slice with qubit q on axis low-1-q and the output with bit j on
-    # axis k-1-j; a slice's sum keeps its low kept qubits, highest first.
+    rows = list(_slices(state.amplitudes.reshape(-1, 1, 1)))
+    low = len(rows[0]).bit_length() - 1
+    # Read a row with qubit q on axis low-1-q and the output with bit j on
+    # axis k-1-j; a row's sum keeps its low kept qubits, highest first.
     summed = tuple(low - 1 - q for q in range(low) if q not in qubits)
     kept_low = sorted((q for q in qubits if q < low), reverse=True)
     order = [kept_low.index(q) for q in reversed(qubits) if q < low]
     high = [(k - 1 - j, q - low) for j, q in enumerate(qubits) if q >= low]
     marginal = np.zeros(1 << k)
     out = marginal.reshape((2,) * k)
-    buf = np.empty(1 << low)
-    for i, row in enumerate(state.amplitudes.reshape(-1, 1 << low)):
+    buf = np.empty(rows[0].shape)
+    for i, row in enumerate(rows):
         np.abs(row, out=buf)
         buf *= buf
         idx: list = [slice(None)] * k

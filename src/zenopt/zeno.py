@@ -4,7 +4,8 @@ projected-Hamiltonian limit dynamics, in dense linear algebra (hbar = 1).
 Every function takes plain array-likes and checks each matrix it is given: a
 Hamiltonian must be Hermitian and a projector idempotent, both within 1e-12
 (ContractError), and square with dimension at most ``MAX_DIM``
-(CapacityError).  Matrix exponentials go through an eigendecomposition so
+(CapacityError).  A time must be finite and a measurement count an integer
+>= 1 (ContractError).  Matrix exponentials go through an eigendecomposition so
 repeated projection products stay exact to machine precision.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, InputError, check_int
+from .errors import CapacityError, ContractError, InputError, check_finite, check_int
 
 MAX_DIM = 256
 
@@ -44,6 +45,7 @@ def _projector(mat) -> np.ndarray:
 
 def expm_hermitian(hamiltonian, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H via eigendecomposition."""
+    _check_run(t)
     evals, vecs = np.linalg.eigh(_hermitian(hamiltonian))
     return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 
@@ -58,8 +60,10 @@ def _state(psi0, dim: int) -> np.ndarray:
     return psi
 
 
-def _check_count(n_measurements) -> None:
+def _check_run(t, n_measurements: int = 1) -> None:
+    """ContractError unless ``t`` is finite and ``n_measurements`` an integer >= 1."""
     try:
+        check_finite(t, "t")
         check_int(n_measurements, "n_measurements", 1)
     except InputError as exc:
         raise ContractError(str(exc)) from None
@@ -73,7 +77,7 @@ def survival_analytic(hamiltonian, psi0, t: float, n_measurements: int) -> float
     clamped and can drop below 0 for long times.
     """
     mat = _hermitian(hamiltonian)
-    _check_count(n_measurements)
+    _check_run(t, n_measurements)
     psi = _state(psi0, mat.shape[0])
     h_psi = mat @ psi
     mean = np.vdot(psi, h_psi).real
@@ -94,7 +98,7 @@ def _hamiltonian_and_projector(hamiltonian, projector) -> tuple[np.ndarray, np.n
 def _projected_evolution(hamiltonian, projector, psi0, t: float, n_measurements: int):
     """Validated (H, P, psi0) and the product (P exp(-i H t/N))^N psi0."""
     mat, proj = _hamiltonian_and_projector(hamiltonian, projector)
-    _check_count(n_measurements)
+    _check_run(t, n_measurements)
     psi = _state(psi0, mat.shape[0])
     step = expm_hermitian(mat, t / n_measurements)
     vec = psi

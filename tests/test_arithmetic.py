@@ -185,3 +185,14 @@ def test_layout_disjointness_enforced():
         CostRegisterLayout((0, 1), (1, 2), 3, 2)
     with pytest.raises(LayoutError):
         CostRegisterLayout((0,), (1, 2), 3, 1)
+
+
+def test_adder_needs_one_weight_per_decision_qubit():
+    layout = CostRegisterLayout((0, 1), (2, 3), 4, 2)
+    with pytest.raises(LayoutError, match="one weight per decision qubit required"):
+        build_cost_adder([1], layout)
+
+
+def test_uncompute_rejects_a_non_gate():
+    with pytest.raises(ContractError, match="cannot uncompute non-gate element 'H'"):
+        build_uncompute([gate_h(0), "H"])

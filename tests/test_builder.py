@@ -741,3 +741,19 @@ def test_multi_layer_parameter_count():
     circuit = build_circuit(problem, WEIGHT_ZENO, MULT, params)
     assert circuit.n_parameters == 4
     assert len(circuit.projections) == 2  # one per layer at Q=1
+
+
+def test_run_circuit_rejects_a_state_of_the_wrong_width():
+    problem = ConstrainedBinaryProblem(2, (1, 1), (Constraint((1, 1), 1, "c"),))
+    circuit = build_circuit(problem, (DEPHASE,), Multipliers.uniform(1, 1.0), LayerParams.initial())
+    n = circuit.layout.n_qubits
+    with pytest.raises(InputError, match=f"state has {n - 1} qubits, circuit needs {n}"):
+        run_circuit(circuit, new_state(n - 1))
+
+
+def test_dephasing_layer_rejects_a_register_off_the_constraint_support():
+    from zenopt import CostRegisterLayout
+
+    reg = CostRegisterLayout((0, 2), (3, 4), 5, 2)
+    with pytest.raises(LayoutError, match="register layout does not match the constraint support"):
+        build_dephasing_layer((1, 1, 0), 1, reg, 1.0, 0.3)

@@ -8,6 +8,8 @@ import pytest
 
 from zenopt import (
     CapacityError,
+    ConstrainedBinaryProblem,
+    Constraint,
     DEPHASE,
     FunctionalCircuit,
     InputError,
@@ -21,6 +23,7 @@ from zenopt import (
     circuit_stats,
     enumerate_assignments,
     lagrange_sweep,
+    optimize,
     ordering_study,
     parse_assignment,
     run_assignment,
@@ -31,7 +34,8 @@ from zenopt import (
     zeno_demo_rows,
 )
 from zenopt.cli import build_parser, main
-from zenopt.harness import FAMILY_CSV_COLUMNS, SWEEP_CONFIG
+from zenopt.harness import FAMILY_CSV_COLUMNS, SWEEP_CONFIG, write_trace_csv
+from zenopt.optimizer import OptimizationTrace
 from zenopt.problem import save_problem, solution_masks
 
 
@@ -273,6 +277,24 @@ def test_cli_solve_writes_trace(cargo_json, tmp_path, capsys):
     assert "best gamma" in capsys.readouterr().out
 
 
+def test_cli_solve_shots_prints_sampled_metrics_at_the_best_params(cargo_json, tmp_path, capsys):
+    argv = ["solve", "--problem", cargo_json, "--assign", WEIGHT_ZENO, "--lambda", "13",
+            "--iters", "10", "--seed", "3"]
+    assert main([*argv, "--out", str(tmp_path / "exact.csv")]) == 0
+    exact = capsys.readouterr().out
+    assert main([*argv, "--shots", "2000", "--out", str(tmp_path / "shots.csv")]) == 0
+    printed = capsys.readouterr().out
+    assert (tmp_path / "shots.csv").read_bytes() == (tmp_path / "exact.csv").read_bytes()
+    assignment, mult = parse_assignment(WEIGHT_ZENO), Multipliers.uniform(6, 13)
+    config = OptimizerConfig(max_iters=10, seed=3, init_params=LayerParams.initial(1, 1))
+    best = optimize(cargo(), assignment, mult, config).best_params
+    sampled = sampled_metrics(cargo(), assignment, mult, best, 2000, 3)
+    metrics = (f"cost={sampled.expected_cost:.6f} p_feasible={sampled.p_feasible:.6f} "
+               f"p_optimal={sampled.p_optimal:.6f} survival={sampled.survival_prob:.6f}")
+    assert printed.startswith(exact.split(" cost=")[0]) and printed.rstrip().endswith(metrics)
+    assert printed != exact
+
+
 @pytest.mark.parametrize(
     "argv, iters",
     [
@@ -479,8 +501,6 @@ def test_cli_rejects_problems_the_enumeration_cannot_hold(doc, message, tmp_path
 
 def test_cli_oversized_model_exits_3(tmp_path, capsys):
     # Bound 2^40 compiles to 44 QUBO bits; the check runs before any table exists.
-    from zenopt import ConstrainedBinaryProblem, Constraint
-
     problem = ConstrainedBinaryProblem(3, (1, 1, 1), (Constraint((1, 1, 1), 1 << 40, "huge"),))
     path = tmp_path / "huge.json"
     save_problem(problem, str(path))
@@ -492,8 +512,6 @@ def test_cli_exit_codes(tmp_path):
     assert main(["solve", "--problem", "missing.json", "--assign", "QAOA"]) == 2
 
     # a 9-constraint problem exceeds the family cap -> capacity error
-    from zenopt import ConstrainedBinaryProblem, Constraint
-
     big = ConstrainedBinaryProblem(
         2, (1, 1), tuple(Constraint((1, 1), 1, f"c{i}") for i in range(9))
     )
@@ -514,3 +532,22 @@ def test_cli_exit_codes(tmp_path):
     assert main(["solve", "--problem", str(tmp_path), "--assign", "QAOA"]) == 2
     argv = ["solve", "--problem", str(path2), "--assign", "QAOA,QAOA,QAOA", "--iters", "2"]
     assert main([*argv, "--out", str(tmp_path)]) == 2
+
+
+def test_cli_other_library_errors_exit_2(tmp_path, capsys):
+    # RX(pi) maps the one state with x0 + x1 <= 0 onto |11>, so the Zeno
+    # projection keeps nothing and raises EmptySubspaceError.
+    path = tmp_path / "tight.json"
+    save_problem(ConstrainedBinaryProblem(2, (1, 1), (Constraint((1, 1), 0, "c"),)), str(path))
+    argv = ["histogram", "--problem", str(path), "--assign", "ZENO", "--gamma", "0",
+            "--beta", str(math.pi), "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: Zeno projection of constraint 0 ('c')")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_write_trace_csv_rejects_an_empty_trace(tmp_path):
+    trace = OptimizationTrace([], LayerParams.initial(), None, 0.0)
+    with pytest.raises(InputError, match="empty trace"):
+        write_trace_csv(trace, str(tmp_path / "x.csv"))
+    assert not (tmp_path / "x.csv").exists()

@@ -279,6 +279,8 @@ def test_problem_validation():
         ConstrainedBinaryProblem(2, (1, 1), (Constraint((1, 1), -1),))
     with pytest.raises(InputError):
         cargo_instance([], 2, 3)
+    with pytest.raises(InputError, match="max_weight must be >= 0"):
+        cargo_instance([1, 2], 2, -1)
 
 
 def test_negative_coefficients_rejected():

@@ -761,6 +761,26 @@ def test_projection_above_the_prefix():
         assert np.array_equal(state.amplitudes, before) and state.survival_prob == 1.0
 
 
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1), (8, 4, 2), (1 << 12, 2, 16), (3, 1, 1 << 15), (2, 64, 1 << 10), (5, 1 << 14, 1)]
+)
+def test_slices_cover_a_view_once_within_the_chunk(shape):
+    """Every element of an (a, d, c) view lies in exactly one slice; each
+    slice holds at most ``_SPAN_CHUNK`` elements and is whole tiles, or,
+    when a tile is wider than that, a column slice of one tile; slices
+    come in order of their first element."""
+    view = np.arange(np.prod(shape)).reshape(shape)
+    parts = list(statevector._slices(view))
+    for part in parts:
+        assert part.size <= statevector._SPAN_CHUNK and part.base is view.base
+        whole = part.shape[1:] == shape[1:]
+        assert whole or (part.shape[0] == 1 and part.shape[1] == shape[1]), part.shape
+        assert whole == (shape[1] * shape[2] <= statevector._SPAN_CHUNK)
+    firsts = [part[0, 0, 0] for part in parts]
+    assert firsts == sorted(firsts)
+    assert np.array_equal(np.sort(np.concatenate([part.ravel() for part in parts])), view.ravel())
+
+
 @pytest.mark.parametrize("n", [3, 6, 16])
 def test_runs_follow_the_span_rule(n):
     """Every fused run grew by the rule: each prefix of two or more gates is

@@ -270,3 +270,8 @@ def test_mismatched_hamiltonian_and_projector_dimensions():
         zeno_limit_error(PAULI_X, proj, KET_0, 0.5, 3)
     with pytest.raises(ContractError, match=shapes):
         zeno_hamiltonian(PAULI_X, proj)
+
+
+def test_state_of_the_wrong_dimension_is_a_contract_error():
+    with pytest.raises(ContractError, match=r"state must have dimension 2, got \(3,\)"):
+        survival_analytic(PAULI_X, [1.0, 0.0, 0.0], 0.5, 2)
