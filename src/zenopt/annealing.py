@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, check_finite, check_int
+from .errors import InputError, check_finite, check_int, check_type
 from .problem import QAOA, ConstrainedBinaryProblem, Multipliers, compile_qubo
 
 
@@ -48,6 +48,7 @@ class AnnealResult:
 
 def anneal(problem: ConstrainedBinaryProblem, mult: Multipliers, schedule: AnnealSchedule) -> AnnealResult:
     """Metropolis single-bit-flip walk under a geometric temperature ramp."""
+    check_type(schedule, AnnealSchedule, "schedule")
     qubo = compile_qubo(problem, (QAOA,) * problem.n_constraints, mult)
     n = qubo.n_bits
     rng = np.random.default_rng(schedule.seed)

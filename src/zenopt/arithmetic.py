@@ -28,19 +28,34 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class CostRegisterLayout:
-    """Qubit roles for one constraint's cost register and violation flag."""
+    """One constraint's cost register and violation flag: the adder writes
+    sum_i weights[i] * x_i of the decision qubits into ``cost_qubits``, and the
+    comparator flags cost > ``bound``.  Every range the two circuits rely on
+    is checked here, once."""
 
     decision_qubits: tuple[int, ...]
+    weights: tuple[int, ...]
+    bound: int
     cost_qubits: tuple[int, ...]
     flag_qubit: int
-    width_m: int
 
     def __post_init__(self):
         groups = (*self.decision_qubits, *self.cost_qubits, self.flag_qubit)
         if len(set(groups)) != len(groups):
             raise LayoutError("decision, cost and flag qubits must be disjoint")
-        if len(self.cost_qubits) != self.width_m:
-            raise LayoutError("cost register size must equal width_m")
+        if len(self.weights) != len(self.decision_qubits):
+            raise LayoutError("one weight per decision qubit required")
+        if any(w < 0 for w in self.weights):
+            raise LayoutError("adder weights must be non-negative")
+        m = self.width_m
+        if sum(self.weights) >= (1 << m):
+            raise LayoutError(f"cost register of width {m} overflows: max sum {sum(self.weights)}")
+        if not 0 <= self.bound < (1 << m):
+            raise LayoutError(f"threshold {self.bound} outside [0, 2^{m})")
+
+    @property
+    def width_m(self) -> int:
+        return len(self.cost_qubits)
 
 
 def register_width(coeffs: Sequence[int]) -> int:
@@ -73,53 +88,42 @@ def _fourier_add_gates(value: int, control: int, cost_qubits: Sequence[int]) -> 
     return gates
 
 
-def build_cost_adder(weights: Sequence[int], layout: CostRegisterLayout) -> list[Gate]:
+def build_cost_adder(reg: CostRegisterLayout) -> list[Gate]:
     """Circuit adding sum_i weights[i] * x_i into the cost register.
 
     The register must start at |0> for the plain "compute the cost" reading;
     as a unitary the circuit performs modular addition on any register state.
     """
-    weights = [int(w) for w in weights]
-    if len(weights) != len(layout.decision_qubits):
-        raise LayoutError("one weight per decision qubit required")
-    if any(w < 0 for w in weights):
-        raise LayoutError("adder weights must be non-negative")
-    if sum(weights) >= (1 << layout.width_m):
-        raise LayoutError(
-            f"cost register of width {layout.width_m} overflows: max sum {sum(weights)}"
-        )
-    gates = _qft(layout.cost_qubits)
-    for w, d in zip(weights, layout.decision_qubits):
-        gates.extend(_fourier_add_gates(w, d, layout.cost_qubits))
-    gates.extend(build_uncompute(_qft(layout.cost_qubits)))
+    gates = _qft(reg.cost_qubits)
+    for w, d in zip(reg.weights, reg.decision_qubits):
+        gates.extend(_fourier_add_gates(w, d, reg.cost_qubits))
+    gates.extend(build_uncompute(_qft(reg.cost_qubits)))
     return gates
 
 
-def build_comparator(layout: CostRegisterLayout, threshold: int) -> list[Gate]:
-    """Flip the flag qubit exactly on branches where cost > threshold.
+def build_comparator(reg: CostRegisterLayout) -> list[Gate]:
+    """Flip the flag qubit exactly on branches where cost > bound.
 
-    The circuit writes the carry of cost + (2^m - 1 - threshold) onto the flag
-    with an MCX cascade: walking the threshold's bits from the top, each zero
+    The circuit writes the carry of cost + (2^m - 1 - bound) onto the flag
+    with an MCX cascade: walking the bound's bits from the top, each zero
     bit contributes one multi-controlled X whose controls pin all higher cost
-    bits to the threshold's bits.  The cubes are disjoint, so the flag flips
+    bits to the bound's bits.  The cubes are disjoint, so the flag flips
     at most once, and the cost register is untouched.
 
     The flag must enter in |0> on every branch; a dirty flag turns the write
     into an XOR (check the flag's probability mass beforehand to detect the
     contract violation).
     """
-    m = layout.width_m
-    if not 0 <= threshold < (1 << m):
-        raise LayoutError(f"threshold {threshold} outside [0, 2^{m})")
+    m, bound = reg.width_m, reg.bound
     gates: list[Gate] = []
     for k in range(m - 1, -1, -1):
-        if (threshold >> k) & 1:
+        if (bound >> k) & 1:
             continue
-        negated = [layout.cost_qubits[j] for j in range(k + 1, m) if not (threshold >> j) & 1]
-        controls = [layout.cost_qubits[j] for j in range(k, m)]
+        negated = [reg.cost_qubits[j] for j in range(k + 1, m) if not (bound >> j) & 1]
+        controls = [reg.cost_qubits[j] for j in range(k, m)]
         for q in negated:
             gates.append(gate_x(q))
-        gates.append(gate_mcx(controls, layout.flag_qubit))
+        gates.append(gate_mcx(controls, reg.flag_qubit))
         for q in negated:
             gates.append(gate_x(q))
     return gates

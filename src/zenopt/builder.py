@@ -9,13 +9,13 @@ mixing of decision qubits (Q sub-blocks of RX(beta_p/Q), each followed by a
 flag projection), so the trailing global mixer covers decision qubits only
 when no constraint is Zeno-assigned.  ``build_layout`` is the one reader of
 ``problem.can_fail``: it gives a DEPHASE or ZENO constraint a cost register
-and flag only when some decision state violates it.  A constraint without a
-register has no flag, so its DEPHASE block adds no gates and its Zeno
-sub-blocks only mix.
+and flag only when some decision state violates it; the register carries
+the constraint's weights and bound.  A constraint without a register has no
+flag: ``layer_blocks`` drops its DEPHASE block, and its Zeno blocks only mix.
 
 These gate circuits are the reference and the source of circuit statistics;
 searches run the same layers on the ancilla-free functional backend
-(``functional.py``), which shares ``compiled_model``, ``block_order``,
+(``functional.py``), which shares ``compiled_model``, ``layer_blocks``,
 ``mixer_targets`` and ``initial_row``, the one 2^n_vars row both backends
 broadcast over the slack values, with them.  The compiled model holds no 2^n
 table, so building and counting a circuit takes memory polynomial in its
@@ -37,7 +37,7 @@ from .arithmetic import (
     build_uncompute,
     register_width,
 )
-from .errors import INT64_MAX, InputError, LayoutError, check_finite, check_int, check_tuple
+from .errors import INT64_MAX, InputError, LayoutError, check_finite, check_int, check_tuple, check_type
 from .problem import (
     DEPHASE,
     QAOA,
@@ -149,14 +149,10 @@ def parse_assignment(text: str) -> tuple[str, ...]:
     return check_kinds(part.strip().upper() for part in text.split(","))
 
 
-def _constraint_support(coeffs) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    vars_ = tuple(i for i, c in enumerate(coeffs) if c != 0)
-    return vars_, tuple(int(coeffs[i]) for i in vars_)
-
-
 def build_layout(problem: ConstrainedBinaryProblem, assignment, qubo_n_bits: int) -> CircuitLayout:
-    """Allocate decision, slack, and pooled cost-register qubits; a register
-    only for a DEPHASE or ZENO constraint that can fail."""
+    """Allocate decision, slack, and pooled cost-register qubits; a register,
+    holding the constraint's nonzero weights and bound, only for a DEPHASE or
+    ZENO constraint that can fail."""
     decision = tuple(range(problem.n_vars))
     slack = tuple(range(problem.n_vars, qubo_n_bits))
     registers: dict[int, CostRegisterLayout] = {}
@@ -166,7 +162,8 @@ def build_layout(problem: ConstrainedBinaryProblem, assignment, qubo_n_bits: int
         con = problem.constraints[ci]
         if kind == QAOA or not can_fail(con.coeffs, con.bound):
             continue
-        support, weights = _constraint_support(con.coeffs)
+        support = tuple(i for i, c in enumerate(con.coeffs) if c != 0)
+        weights = tuple(int(con.coeffs[i]) for i in support)
         width = register_width(weights)
         if width not in pool:
             cost = tuple(range(next_q, next_q + width))
@@ -174,7 +171,7 @@ def build_layout(problem: ConstrainedBinaryProblem, assignment, qubo_n_bits: int
             next_q += width + 1
             pool[width] = (cost, flag)
         cost, flag = pool[width]
-        registers[ci] = CostRegisterLayout(support, cost, flag, width)
+        registers[ci] = CostRegisterLayout(support, weights, con.bound, cost, flag)
     return CircuitLayout(next_q, decision, slack, registers)
 
 
@@ -189,48 +186,24 @@ def build_phase_return(ising: IsingCoeffs, gamma: float) -> list[Gate]:
     return gates + [gate_rzz(i, j, 2.0 * gamma * coeff) for (i, j), coeff in sorted(ising.zz.items())]
 
 
-def _penalty_phase_gates(reg: CostRegisterLayout, bound: int, alpha: float, theta: float) -> list[Gate]:
-    """Flag-controlled phases realizing e^{-i*theta*alpha*(cost-bound)} when flagged."""
-    gates: list[Gate] = []
-    for k, q in enumerate(reg.cost_qubits):
-        gates.append(gate_cphase((reg.flag_qubit, q), -theta * alpha * float(1 << k)))
-    gates.append(gate_phase(reg.flag_qubit, theta * alpha * float(bound)))
-    return gates
-
-
-def _flag_circuit(constraint_coeffs, bound: int, reg: CostRegisterLayout) -> list[Gate]:
-    """Adder plus comparator flagging cost > bound, on the register ``build_layout``
-    gave a constraint that can fail."""
-    support, weights = _constraint_support(constraint_coeffs)
-    if support != reg.decision_qubits:
-        raise LayoutError("register layout does not match the constraint support")
-    return build_cost_adder(weights, reg) + build_comparator(reg, bound)
-
-
-def build_dephasing_layer(
-    constraint_coeffs,
-    bound: int,
-    reg: CostRegisterLayout,
-    alpha: float,
-    theta: float,
-) -> list[Gate]:
+def build_dephasing_layer(reg: CostRegisterLayout, alpha: float, theta: float) -> list[Gate]:
     """Adder, comparator, violation-weighted dephasing, and uncompute.
 
     Net effect is the diagonal phase e^{-i*theta*alpha*max(0, cost-bound)}
-    with all ancillas restored.
+    with all ancillas restored: when flagged, the flag-controlled phases give
+    e^{-i*theta*alpha*(cost-bound)}.
     """
-    forward = _flag_circuit(constraint_coeffs, bound, reg)
-    penalty = _penalty_phase_gates(reg, bound, alpha, theta)
+    forward = build_cost_adder(reg) + build_comparator(reg)
+    penalty = [
+        gate_cphase((reg.flag_qubit, q), -theta * alpha * float(1 << k))
+        for k, q in enumerate(reg.cost_qubits)
+    ]
+    penalty.append(gate_phase(reg.flag_qubit, theta * alpha * float(reg.bound)))
     return forward + penalty + build_uncompute(forward)
 
 
 def build_zeno_layer(
-    constraint_coeffs,
-    bound: int,
-    reg: CostRegisterLayout | None,
-    beta: float,
-    q_measurements: int,
-    mixer_qubits,
+    reg: CostRegisterLayout | None, beta: float, q_measurements: int, mixer_qubits
 ) -> tuple[list[Gate], list[int]]:
     """Q sub-blocks of mixing followed by a flag projection each.
 
@@ -239,7 +212,7 @@ def build_zeno_layer(
     constraint cannot fail, so it has no register) a sub-block only mixes.
     Returns the gate list and the projection positions within it.
     """
-    forward = [] if reg is None else _flag_circuit(constraint_coeffs, bound, reg)
+    forward = [] if reg is None else build_cost_adder(reg) + build_comparator(reg)
     gates: list[Gate] = []
     positions: list[int] = []
     for _ in range(q_measurements):
@@ -272,17 +245,24 @@ def compiled_model(problem: ConstrainedBinaryProblem, assignment, mult: Multipli
     return CompiledModel(qubo, qubo_to_ising(qubo), build_layout(problem, assignment, qubo.n_bits))
 
 
-def block_order(assignment, ordering: str) -> list[int]:
-    """Constraint indices of the DEPHASE and ZENO blocks in circuit order."""
+def layer_blocks(
+    assignment, layout: CircuitLayout, ordering: str
+) -> list[tuple[int, str, CostRegisterLayout | None]]:
+    """The DEPHASE and ZENO blocks of one layer in circuit order, each as
+    (constraint index, kind, register or None).  A DEPHASE constraint without
+    a register has nothing to dephase, so no block; a ZENO block without one
+    only mixes."""
     if ordering not in ORDERINGS:
         raise InputError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    dephase_idx = [ci for ci, k in enumerate(assignment) if k == DEPHASE]
-    zeno_idx = [ci for ci, k in enumerate(assignment) if k == ZENO]
-    if ordering == NATURAL:
-        return sorted(dephase_idx + zeno_idx)
-    if ordering == ZENO_FIRST:
-        return zeno_idx + dephase_idx
-    return dephase_idx + zeno_idx
+    blocks = [
+        (ci, kind, layout.registers.get(ci))
+        for ci, kind in enumerate(assignment)
+        if kind == ZENO or (kind == DEPHASE and ci in layout.registers)
+    ]
+    if ordering != NATURAL:  # a stable sort keeps each kind in constraint order
+        first = ZENO if ordering == ZENO_FIRST else DEPHASE
+        blocks.sort(key=lambda block: block[1] != first)
+    return blocks
 
 
 def mixer_targets(assignment, layout: CircuitLayout) -> tuple[int, ...]:
@@ -298,10 +278,13 @@ def build_circuit(
     ordering: str = NATURAL,
 ) -> HybridCircuit:
     """Full hybrid circuit for a representation assignment."""
+    check_type(problem, ConstrainedBinaryProblem, "problem")
+    check_type(mult, Multipliers, "mult")
+    check_type(params, LayerParams, "params")
     assignment = check_kinds(assignment)
     model = compiled_model(problem, assignment, mult)
-    blocks = block_order(assignment, ordering)
     ising, layout = model.ising, model.layout
+    blocks = layer_blocks(assignment, layout, ordering)
     mixer = mixer_targets(assignment, layout)
 
     gates: list[Gate] = []
@@ -309,20 +292,13 @@ def build_circuit(
     for p in range(params.p_layers):
         gamma, beta = params.gamma[p], params.beta[p]
         gates.extend(build_phase_return(ising, gamma))
-        for ci in blocks:
-            con = problem.constraints[ci]
-            reg = layout.registers.get(ci)
-            if assignment[ci] == ZENO:
-                zgates, zpos = build_zeno_layer(
-                    con.coeffs, con.bound, reg, beta, params.q_measurements, layout.decision
-                )
-                offset = len(gates)
-                gates.extend(zgates)
-                projections.extend(
-                    (offset + pos, Projection(reg.flag_qubit, 0)) for pos in zpos
-                )
-            elif reg is not None:  # a DEPHASE constraint without a register has nothing to dephase
-                gates.extend(build_dephasing_layer(con.coeffs, con.bound, reg, mult.alpha, gamma))
+        for _, kind, reg in blocks:
+            if kind == DEPHASE:
+                gates.extend(build_dephasing_layer(reg, mult.alpha, gamma))
+                continue
+            zgates, zpos = build_zeno_layer(reg, beta, params.q_measurements, layout.decision)
+            projections.extend((len(gates) + pos, Projection(reg.flag_qubit, 0)) for pos in zpos)
+            gates.extend(zgates)
         gates.extend(gate_rx(q, beta) for q in mixer)
     return HybridCircuit(layout, gates, projections, 2 * params.p_layers)
 

@@ -52,6 +52,12 @@ def check_finite(value, what: str) -> None:
         raise InputError(f"{what} must be finite, got {value}")
 
 
+def check_type(value, cls: type, what: str) -> None:
+    """InputError naming ``what`` and ``value`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise InputError(f"{what} must be {cls.__name__}, got {value!r}")
+
+
 def check_tuple(value, what: str) -> tuple:
     """``value`` as a tuple; InputError naming ``what`` unless it is iterable."""
     try:

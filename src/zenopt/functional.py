@@ -3,8 +3,8 @@ decision and slack bits, evaluated straight from the compiled model.
 
 Every DEPHASE and ZENO block of the gate circuit (``builder.build_circuit``)
 uncomputes its cost register and flag, so on the QUBO's ``n_bits`` decision
-and slack bits (decision bits lowest) one layer acts, in the builder's block
-order, as
+and slack bits (decision bits lowest) one layer acts, over the blocks of
+``builder.layer_blocks`` in their order, as
 
 - phase return: psi *= exp(-i*gamma*(cost - identity));
 - dephasing block: psi *= exp(-i*gamma*alpha*max(0, a.x - b));
@@ -45,9 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .builder import NATURAL, LayerParams, block_order, compiled_model, initial_row, mixer_targets
-from .errors import CapacityError, EmptySubspaceError
-from .problem import DEPHASE, ZENO, ConstrainedBinaryProblem, Multipliers, constraint_excess
+from .builder import NATURAL, LayerParams, compiled_model, initial_row, layer_blocks, mixer_targets
+from .errors import CapacityError, EmptySubspaceError, check_type
+from .problem import DEPHASE, ConstrainedBinaryProblem, Multipliers, constraint_excess
 from .problem import check_kinds, qubo_values, solution_masks
 from .statevector import ANNIHILATION_PROB, MAX_QUBITS, Statevector, rx_wall
 
@@ -77,6 +77,8 @@ class FunctionalCircuit:
         mult: Multipliers,
         ordering: str = NATURAL,
     ):
+        check_type(problem, ConstrainedBinaryProblem, "problem")
+        check_type(mult, Multipliers, "mult")
         assignment = check_kinds(assignment)
         model = compiled_model(problem, assignment, mult)
         n = model.qubo.n_bits
@@ -95,12 +97,11 @@ class FunctionalCircuit:
         self.decision = model.layout.decision
         self.mixer = mixer_targets(assignment, model.layout)
         excess = constraint_excess(problem)
-        self.blocks = []
-        for ci in block_order(assignment, ordering):
-            con, kind = problem.constraints[ci], assignment[ci]
-            if (fails := ci in model.layout.registers) or kind == ZENO:  # ZENO blocks always mix
-                keep = excess[ci] == 0 if fails and kind == ZENO else None
-                self.blocks.append(_Block(kind, f"{ci} ({con.label!r})", excess[ci], keep))
+        self.blocks = [
+            _Block(kind, f"{ci} ({problem.constraints[ci].label!r})", excess[ci],
+                   None if reg is None or kind == DEPHASE else excess[ci] == 0)
+            for ci, kind, reg in layer_blocks(assignment, model.layout, ordering)
+        ]
         self.initial = initial_row(problem, assignment, 1 << (n - self.n_vars))
 
     def run(self, params: LayerParams) -> Statevector:
@@ -109,6 +110,7 @@ class FunctionalCircuit:
         Raises EmptySubspaceError, naming the constraint, layer and sub-block,
         when a Zeno projection has probability at most ``ANNIHILATION_PROB``.
         """
+        check_type(params, LayerParams, "params")
         psi = np.tile(self.initial, (1 << (self.n_bits - self.n_vars), 1))
         survival = 1.0
         q_meas = params.q_measurements

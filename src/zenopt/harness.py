@@ -27,7 +27,7 @@ from .builder import (
     build_circuit,
     circuit_stats,
 )
-from .errors import CapacityError, InputError, ZenoptError, check_finite, check_int, check_tuple
+from .errors import CapacityError, InputError, ZenoptError, check_finite, check_int, check_tuple, check_type
 from .functional import EvalResult, FunctionalCircuit
 from .optimizer import OptimizationTrace, OptimizerConfig, evaluate_params, optimize
 from .problem import DEPHASE, REP_KINDS, ZENO, ConstrainedBinaryProblem, Multipliers, check_kinds
@@ -78,6 +78,8 @@ def run_assignment(
     """Optimize one assignment and collect its stats row; a ZenoptError ends
     the row with NaN metrics and the error, keeping any stats already built."""
     assignment = check_tuple(assignment, "assignment")
+    check_type(mult, Multipliers, "mult")
+    check_type(config, OptimizerConfig, "config")
     start = time.perf_counter()
     stats, final, error = None, EvalResult(*(math.nan,) * 4), ""
     try:
@@ -102,6 +104,9 @@ def run_family_sweep(
     >= 1; above 1 the rows run in a process pool, and results are gathered
     in assignment (index) order, identical to a serial run.
     """
+    check_type(problem, ConstrainedBinaryProblem, "problem")
+    check_type(mult, Multipliers, "mult")
+    check_type(config, OptimizerConfig, "config")
     if workers is not None:
         check_int(workers, "workers", 1)
     jobs = [
@@ -172,6 +177,7 @@ def ordering_study(
     parameters, which isolates the effect of reordering the constraint
     blocks; with reoptimize=True each ordering gets its own full search.
     """
+    check_type(config, OptimizerConfig, "config")
     assignment = check_kinds(assignment)
     if DEPHASE not in assignment or ZENO not in assignment:
         raise InputError("ordering study needs at least one DEPHASE and one ZENO constraint")

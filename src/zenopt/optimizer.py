@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import NATURAL, LayerParams
-from .errors import EmptySubspaceError, check_int
+from .errors import EmptySubspaceError, check_int, check_type
 from .functional import EvalResult, FunctionalCircuit
 from .problem import ConstrainedBinaryProblem, Multipliers
 
@@ -34,6 +34,7 @@ class OptimizerConfig:
     def __post_init__(self):
         check_int(self.max_iters, "max_iters", 1)
         check_int(self.seed, "seed", 0)
+        check_type(self.init_params, LayerParams, "init_params")
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,7 @@ def optimize(
     A point at which a Zeno projection annihilates the state is evaluated as
     infinite cost with zero probabilities and survival.
     """
+    check_type(config, OptimizerConfig, "config")
     start = time.perf_counter()
     init = config.init_params
     circuit = FunctionalCircuit(problem, assignment, mult, ordering)

@@ -124,9 +124,11 @@ def cargo_instance(weights: list[int], n_positions: int, max_weight: int) -> Con
     Constraints, in order: one total-weight bound, one per-position occupancy
     bound, one per-cargo placement bound.
     """
+    weights = check_tuple(weights, "weights")
     if not weights:
         raise InputError("weights must be non-empty")
     check_int(n_positions, "n_positions", 1)
+    check_finite(max_weight, "max_weight")  # the weight constraint checks it is an integer
     if max_weight < 0:
         raise InputError("max_weight must be >= 0")
     n_cargo = len(weights)

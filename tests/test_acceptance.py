@@ -136,7 +136,7 @@ def test_criterion_04_dephasing_matches_functional_oracle():
     alpha, theta = float(MULT.alpha), 0.37
     model = compiled_model(CARGO, WEIGHT_DEPHASE, MULT)
     reg = model.layout.registers[0]
-    layer = build_dephasing_layer(CARGO.constraints[0].coeffs, 3, reg, alpha, theta)
+    layer = build_dephasing_layer(reg, alpha, theta)
     n = model.layout.n_qubits
     state = apply_gates(new_state(n), [gate_h(q) for q in range(6)])
     evolved = apply_gates(state, layer)

@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -43,8 +46,8 @@ def _sums(mode, weights):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_adder_example_weights_123(mode):
-    layout = CostRegisterLayout((0, 1, 2), (3, 4, 5), 6, 3)
-    adder = build_cost_adder([1, 2, 3], layout)
+    layout = CostRegisterLayout((0, 1, 2), (1, 2, 3), 0, (3, 4, 5), 6)
+    adder = build_cost_adder(layout)
     state = apply_gates(_basis(7, 0b101), adder)
     index = int(np.argmax(np.abs(state.amplitudes)))
     assert _register_value(index, layout.cost_qubits) == _sums(mode, [1, 2, 3])[0b101] == 4
@@ -53,24 +56,25 @@ def test_adder_example_weights_123(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_adder_zero_weights(mode):
-    layout = CostRegisterLayout((0, 1, 2), (3,), 4, 1)
-    adder = build_cost_adder([0, 0, 0], layout)
+    layout = CostRegisterLayout((0, 1, 2), (0, 0, 0), 0, (3,), 4)
+    adder = build_cost_adder(layout)
     state = apply_gates(apply_gates(_basis(5, 0), [gate_h(q) for q in range(3)]), adder)
     probs = state.probabilities()
     sums = _sums(mode, [0, 0, 0])
     assert probs[[i for i in range(32) if (i >> 3) & 1 != sums[i & 0b111]]].sum() < 1e-12
 
 
+# ``CostRegisterLayout`` checks every range the adder and comparator rely on,
+# once, when the register is built; the circuits themselves check nothing.
 def test_adder_overflow_is_layout_error():
-    layout = CostRegisterLayout((0, 1, 2), (3, 4), 5, 2)
-    with pytest.raises(LayoutError):
-        build_cost_adder([1, 2, 3], layout)
+    with pytest.raises(LayoutError, match=re.escape("cost register of width 2 overflows: max sum 6")):
+        CostRegisterLayout((0, 1, 2), (1, 2, 3), 0, (3, 4), 5)
+    assert CostRegisterLayout((0, 1, 2), (1, 2, 3), 0, (3, 4, 5), 6).width_m == 3  # 6 < 2^3
 
 
 def test_adder_rejects_negative_weights():
-    layout = CostRegisterLayout((0,), (1, 2), 3, 2)
-    with pytest.raises(LayoutError):
-        build_cost_adder([-1], layout)
+    with pytest.raises(LayoutError, match="adder weights must be non-negative"):
+        CostRegisterLayout((0,), (-1,), 0, (1, 2), 3)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -79,9 +83,9 @@ def test_adder_exhaustive(mode, weights):
     n_dec = len(weights)
     width = register_width(weights)
     layout = CostRegisterLayout(
-        tuple(range(n_dec)), tuple(range(n_dec, n_dec + width)), n_dec + width, width
+        tuple(range(n_dec)), tuple(weights), 0, tuple(range(n_dec, n_dec + width)), n_dec + width
     )
-    adder = build_cost_adder(weights, layout)
+    adder = build_cost_adder(layout)
     n = n_dec + width + 1
     sums = _sums(mode, weights)
     for x in range(1 << n_dec):
@@ -94,9 +98,9 @@ def test_adder_exhaustive(mode, weights):
 @pytest.mark.parametrize("mode", MODES)
 def test_adder_modes_agree_on_superposition(mode):
     # H on the decision qubits, then the adder: (1/sqrt 8) sum_x |x>|a.x>.
-    layout = CostRegisterLayout((0, 1, 2), (3, 4, 5), 6, 3)
+    layout = CostRegisterLayout((0, 1, 2), (1, 2, 3), 0, (3, 4, 5), 6)
     start = apply_gates(_basis(7, 0), [gate_h(q) for q in range(3)])
-    state = apply_gates(start, build_cost_adder([1, 2, 3], layout))
+    state = apply_gates(start, build_cost_adder(layout))
     expected = np.zeros(1 << 7, dtype=complex)
     for x, total in enumerate(_sums(mode, [1, 2, 3])):
         expected[x | (total << 3)] = 1.0 / np.sqrt(8.0)
@@ -106,9 +110,8 @@ def test_adder_modes_agree_on_superposition(mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_comparator_exhaustive(mode, width):
-    layout = CostRegisterLayout((), tuple(range(width)), width, width)
     for threshold in range(1 << width):
-        comparator = build_comparator(layout, threshold)
+        comparator = build_comparator(CostRegisterLayout((), (), threshold, tuple(range(width)), width))
         for cost in range(1 << width):
             state = apply_gates(_basis(width + 1, cost), comparator)
             index = int(np.argmax(np.abs(state.amplitudes)))
@@ -117,28 +120,27 @@ def test_comparator_exhaustive(mode, width):
 
 
 def test_comparator_boundaries():
-    layout = CostRegisterLayout((), (0, 1, 2), 3, 3)
-    comparator = build_comparator(layout, 3)
+    comparator = build_comparator(CostRegisterLayout((), (), 3, (0, 1, 2), 3))
     flagged = apply_gates(_basis(4, 4), comparator)
     assert (int(np.argmax(np.abs(flagged.amplitudes))) >> 3) & 1 == 1
     equal = apply_gates(_basis(4, 3), comparator)
     assert (int(np.argmax(np.abs(equal.amplitudes))) >> 3) & 1 == 0
-    zero = apply_gates(_basis(4, 0), build_comparator(layout, 0))
+    zero = apply_gates(_basis(4, 0), build_comparator(CostRegisterLayout((), (), 0, (0, 1, 2), 3)))
     assert (int(np.argmax(np.abs(zero.amplitudes))) >> 3) & 1 == 0
 
 
 def test_comparator_threshold_out_of_range():
-    layout = CostRegisterLayout((), (0, 1), 2, 2)
-    with pytest.raises(LayoutError):
-        build_comparator(layout, 4)
-    with pytest.raises(LayoutError):
-        build_comparator(layout, -1)
+    for bound in (4, -1):
+        with pytest.raises(LayoutError, match=re.escape(f"threshold {bound} outside [0, 2^2)")):
+            CostRegisterLayout((), (), bound, (0, 1), 2)
+    for bound in (0, 3):  # both ends of [0, 2^2) are accepted
+        assert CostRegisterLayout((), (), bound, (0, 1), 2).bound == bound
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_compute_uncompute_roundtrip(mode):
-    layout = CostRegisterLayout((0, 1, 2), (3, 4, 5), 6, 3)
-    forward = build_cost_adder([1, 2, 3], layout) + build_comparator(layout, 2)
+    layout = CostRegisterLayout((0, 1, 2), (1, 2, 3), 2, (3, 4, 5), 6)
+    forward = build_cost_adder(layout) + build_comparator(layout)
     start = apply_gates(
         _basis(7, 0), [gate_h(q) for q in range(3)] + [gate_rz(0, 0.37)]
     )
@@ -181,18 +183,24 @@ def test_register_width_is_exact_to_the_int64_limit():
 
 
 def test_layout_disjointness_enforced():
-    with pytest.raises(LayoutError):
-        CostRegisterLayout((0, 1), (1, 2), 3, 2)
-    with pytest.raises(LayoutError):
-        CostRegisterLayout((0,), (1, 2), 3, 1)
+    for decision, cost, flag in [((0, 1), (1, 2), 3), ((0,), (1, 2), 2), ((0,), (1, 1), 3), ((0,), (1, 2), 0)]:
+        with pytest.raises(LayoutError, match="decision, cost and flag qubits must be disjoint"):
+            CostRegisterLayout(decision, (1,) * len(decision), 0, cost, flag)
 
 
 def test_adder_needs_one_weight_per_decision_qubit():
-    layout = CostRegisterLayout((0, 1), (2, 3), 4, 2)
     with pytest.raises(LayoutError, match="one weight per decision qubit required"):
-        build_cost_adder([1], layout)
+        CostRegisterLayout((0, 1), (1,), 0, (2, 3), 4)
 
 
 def test_uncompute_rejects_a_non_gate():
     with pytest.raises(ContractError, match="cannot uncompute non-gate element 'H'"):
         build_uncompute([gate_h(0), "H"])
+
+
+def test_register_carries_its_constraint():
+    # The fields are the constraint's support, weights and bound, and the
+    # qubits; the width is read off the cost qubits, never stored beside them.
+    layout = CostRegisterLayout((0, 2), (3, 4), 6, (5, 6, 7), 8)
+    assert [f.name for f in fields(layout)] == ["decision_qubits", "weights", "bound", "cost_qubits", "flag_qubit"]
+    assert layout.width_m == 3

@@ -44,7 +44,14 @@ from zenopt import (
     run_circuit,
 )
 from zenopt.arithmetic import register_width
-from zenopt.builder import CircuitLayout, HybridCircuit, ancilla_mass, build_layout, compiled_model
+from zenopt.builder import (
+    CircuitLayout,
+    HybridCircuit,
+    ancilla_mass,
+    build_layout,
+    compiled_model,
+    layer_blocks,
+)
 from zenopt.problem import REP_KINDS, IsingCoeffs, feasible_mask
 from zenopt import statevector
 from zenopt.statevector import gate_h, gate_rx
@@ -131,7 +138,7 @@ def test_dephasing_layer_matches_functional_oracle(mode):
     costs = _constraint_costs(problem, 0)
     if mode == "gate":
         reg = model.layout.registers[0]
-        layer = build_dephasing_layer(problem.constraints[0].coeffs, 3, reg, alpha, theta)
+        layer = build_dephasing_layer(reg, alpha, theta)
         n = model.layout.n_qubits
         state = apply_gates(new_state(n), [gate_h(q) for q in range(problem.n_vars)])
         evolved = apply_gates(state, layer).amplitudes
@@ -155,15 +162,13 @@ def test_dephasing_boundary_and_alpha_zero():
     n = model.layout.n_qubits
     state = apply_gates(new_state(n), [gate_h(q) for q in range(6)])
     # cost == threshold branches acquire no phase
-    layer = build_dephasing_layer(problem.constraints[0].coeffs, 3, reg, 1.0, 0.5)
+    layer = build_dephasing_layer(reg, 1.0, 0.5)
     evolved = apply_gates(state, layer)
     costs = _constraint_costs(problem, 0)
     at_bound = np.nonzero(costs == 3)[0]
     assert np.allclose(evolved.amplitudes[at_bound], state.amplitudes[at_bound])
     # alpha = 0 is the identity everywhere
-    idle = apply_gates(
-        state, build_dephasing_layer(problem.constraints[0].coeffs, 3, reg, 0.0, 0.5)
-    )
+    idle = apply_gates(state, build_dephasing_layer(reg, 0.0, 0.5))
     assert np.max(np.abs(idle.amplitudes - state.amplitudes)) < 1e-12
 
 
@@ -201,9 +206,7 @@ def test_zeno_layer_infeasible_entry_annihilates():
     problem = cargo()
     model = compiled_model(problem, WEIGHT_ZENO, MULT)
     reg = model.layout.registers[0]
-    gates, positions = build_zeno_layer(
-        problem.constraints[0].coeffs, 3, reg, 0.0, 1, range(6)
-    )
+    gates, positions = build_zeno_layer(reg, 0.0, 1, range(6))
     n = model.layout.n_qubits
     # all-ones decision state violates the weight bound with certainty
     amps = np.zeros(1 << n, dtype=complex)
@@ -220,8 +223,7 @@ def test_zeno_layer_vacuous_bound_only_mixes():
     # Bound 16 >= 2^4 (the weight register width): no cost can violate it,
     # so the layout gives it no register and each sub-block is the RX wall
     # alone, with no flag to project.
-    problem = cargo()
-    gates, positions = build_zeno_layer(problem.constraints[0].coeffs, 16, None, 0.3, 2, range(6))
+    gates, positions = build_zeno_layer(None, 0.3, 2, range(6))
     assert positions == []
     assert [g.kind for g in gates] == ["RX"] * 12
 
@@ -276,6 +278,36 @@ def test_orderings_build_and_agree_on_qubits(ordering):
     reference = build_circuit(problem, assignment, MULT, LayerParams((0.1,), (0.1,)), "natural")
     assert circuit.layout.n_qubits == reference.layout.n_qubits
     assert len(circuit.gates) == len(reference.gates)
+
+
+@pytest.mark.parametrize("ordering, order", [
+    ("natural", [0, 1, 2, 5]),
+    ("zeno_first", [1, 2, 0, 5]),
+    ("dephase_first", [0, 5, 1, 2]),
+], ids=["natural", "zeno_first", "dephase_first"])
+def test_layer_blocks_per_ordering(ordering, order):
+    # Constraints 1 and 3 cannot fail, so they get no register: the ZENO
+    # block of constraint 1 stays and only mixes, the DEPHASE block of
+    # constraint 3 is dropped, and the QAOA constraint 4 has no block.
+    problem = ConstrainedBinaryProblem(3, (1, 1, 1), (
+        Constraint((1, 1, 0), 1, "d0"),
+        Constraint((0, 1, 1), 5, "z1"),
+        Constraint((1, 0, 1), 1, "z2"),
+        Constraint((1, 1, 1), 3, "d3"),
+        Constraint((1, 1, 1), 1, "q4"),
+        Constraint((1, 0, 1), 0, "d5"),
+    ))
+    assignment = (DEPHASE, ZENO, ZENO, DEPHASE, QAOA, DEPHASE)
+    mult = Multipliers.uniform(6, 1.0)
+    layout = compiled_model(problem, assignment, mult).layout
+    assert sorted(layout.registers) == [0, 2, 5]
+    blocks = layer_blocks(assignment, layout, ordering)
+    assert blocks == [(ci, assignment[ci], layout.registers.get(ci)) for ci in order]
+    # The functional backend runs the same blocks, projecting only on a register.
+    functional = FunctionalCircuit(problem, assignment, mult, ordering)
+    assert [(b.kind, b.keep is not None) for b in functional.blocks] == [
+        (assignment[ci], assignment[ci] == ZENO and ci in layout.registers) for ci in order
+    ]
 
 
 @pytest.mark.parametrize("gamma, beta, message", [
@@ -342,8 +374,8 @@ def _prep_folded(problem, assignment, layout):
     for ci, kind in enumerate(assignment):
         if kind != ZENO or ci not in layout.registers:
             continue  # a constraint that cannot fail has no flag to project
-        con, reg = problem.constraints[ci], layout.registers[ci]
-        gates, (position,) = build_zeno_layer(con.coeffs, con.bound, reg, 0.0, 1, ())
+        reg = layout.registers[ci]
+        gates, (position,) = build_zeno_layer(reg, 0.0, 1, ())
         state = functools.reduce(apply_gate, gates[:position], state)
         state = project_qubit(state, reg.flag_qubit, 0)
         state = functools.reduce(apply_gate, gates[position:], state)
@@ -749,11 +781,3 @@ def test_run_circuit_rejects_a_state_of_the_wrong_width():
     n = circuit.layout.n_qubits
     with pytest.raises(InputError, match=f"state has {n - 1} qubits, circuit needs {n}"):
         run_circuit(circuit, new_state(n - 1))
-
-
-def test_dephasing_layer_rejects_a_register_off_the_constraint_support():
-    from zenopt import CostRegisterLayout
-
-    reg = CostRegisterLayout((0, 2), (3, 4), 5, 2)
-    with pytest.raises(LayoutError, match="register layout does not match the constraint support"):
-        build_dephasing_layer((1, 1, 0), 1, reg, 1.0, 0.3)

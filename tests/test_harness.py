@@ -259,6 +259,11 @@ def cargo_json(tmp_path):
     return str(path)
 
 
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_cli_solve_writes_trace(cargo_json, tmp_path, capsys):
     out = tmp_path / "trace.csv"
     rc = main(
@@ -269,7 +274,7 @@ def test_cli_solve_writes_trace(cargo_json, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = _csv_rows(out)
     assert 1 <= len(rows) <= 10
     assert set(rows[0]) == {
         "iter", "gamma_0", "beta_0", "expected_cost", "p_feasible", "p_optimal", "survival_prob"
@@ -350,7 +355,7 @@ def test_cli_lagrange_and_ordering(cargo_json, tmp_path):
         ]
     )
     assert rc == 0
-    assert len(list(csv.DictReader(open(lag)))) == 2
+    assert len(_csv_rows(lag)) == 2
 
     order = tmp_path / "ord.csv"
     rc = main(
@@ -361,7 +366,7 @@ def test_cli_lagrange_and_ordering(cargo_json, tmp_path):
         ]
     )
     assert rc == 0
-    assert len(list(csv.DictReader(open(order)))) == 3
+    assert len(_csv_rows(order)) == 3
 
 
 def test_cli_histogram_zeno_demo_sa(cargo_json, tmp_path):
@@ -374,18 +379,18 @@ def test_cli_histogram_zeno_demo_sa(cargo_json, tmp_path):
         ]
     )
     assert rc == 0
-    assert len(list(csv.DictReader(open(hist)))) == 64
+    assert len(_csv_rows(hist)) == 64
 
     zeno = tmp_path / "zeno.csv"
     assert main(["zeno-demo", "--n-list", "1,2,4", "--out", str(zeno)]) == 0
-    assert len(list(csv.DictReader(open(zeno)))) == 3
+    assert len(_csv_rows(zeno)) == 3
 
     sa = tmp_path / "sa.csv"
     rc = main(
         ["baseline-sa", "--problem", cargo_json, "--steps", "50", "--seed", "1", "--out", str(sa)]
     )
     assert rc == 0
-    rows = list(csv.DictReader(open(sa)))
+    rows = _csv_rows(sa)
     assert len(rows) == 50
     assert set(rows[0]) == {"step", "state", "cost", "accepted"}
 

@@ -461,6 +461,16 @@ def test_python_built_problems_hold_integers(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: cargo_instance([1], 1, None), "max_weight must be finite, got None"),
+    (lambda: cargo_instance([1], 1, "a"), "max_weight must be finite, got a"),
+    (lambda: cargo_instance(5, 1, 1), "weights must be a sequence, got 5"),
+])
+def test_cargo_instance_rejects_wrong_types(build, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        build()
+
+
 def test_numpy_integer_problem_numbers_are_accepted():
     coeffs = tuple(np.arange(1, 4))
     problem = ConstrainedBinaryProblem(np.int64(3), coeffs, (Constraint(coeffs, np.int32(3)),))

@@ -30,18 +30,24 @@ from zenopt import (
     LayerParams,
     Multipliers,
     OptimizerConfig,
+    anneal,
     build_circuit,
     circuit_stats,
     compile_qubo,
+    evaluate_params,
     expm_hermitian,
     lagrange_sweep,
     new_state,
+    optimize,
     ordering_study,
     prepare_initial_state,
     qubo_values,
     run_assignment,
     run_circuit,
+    run_family_sweep,
     sample,
+    sampled_metrics,
+    state_visit_histogram,
     survival_analytic,
     survival_empirical,
     zeno_demo_rows,
@@ -260,9 +266,36 @@ _CONFIG = OptimizerConfig(max_iters=1)
     (lambda: survival_empirical(_X, _P0, _KET0, float("nan"), 2), ContractError,
      "t must be finite, got nan"),
     (lambda: zeno_limit_error(_X, _P0, _KET0, "1", 2), ContractError, "t must be finite, got 1"),
+    (lambda: build_circuit(None, ("ZENO", "DEPHASE"), _BACKEND["mult"], _PARAMS), InputError,
+     "problem must be ConstrainedBinaryProblem, got None"),
+    (lambda: build_circuit(**dict(_BACKEND, mult=None), params=_PARAMS), InputError,
+     "mult must be Multipliers, got None"),
+    (lambda: build_circuit(**_BACKEND, params=None), InputError, "params must be LayerParams, got None"),
+    (lambda: FunctionalCircuit(**dict(_BACKEND, problem=None)), InputError,
+     "problem must be ConstrainedBinaryProblem, got None"),
+    (lambda: FunctionalCircuit(**dict(_BACKEND, mult=None)), InputError, "mult must be Multipliers, got None"),
+    (lambda: evaluate_params(**_BACKEND, params=None), InputError, "params must be LayerParams, got None"),
+    (lambda: sampled_metrics(**_BACKEND, params=None, shots=5, seed=0), InputError,
+     "params must be LayerParams, got None"),
+    (lambda: state_visit_histogram(**_BACKEND, params=None), InputError,
+     "params must be LayerParams, got None"),
+    (lambda: optimize(**_BACKEND, config=None), InputError, "config must be OptimizerConfig, got None"),
+    (lambda: lagrange_sweep(_PROBLEM, ("ZENO", "DEPHASE"), [1.0], None), InputError,
+     "config must be OptimizerConfig, got None"),
+    (lambda: ordering_study(**_BACKEND, config=None), InputError, "config must be OptimizerConfig, got None"),
+    (lambda: run_assignment(**dict(_BACKEND, mult=None), config=_CONFIG), InputError,
+     "mult must be Multipliers, got None"),
+    (lambda: run_assignment(**_BACKEND, config=None), InputError, "config must be OptimizerConfig, got None"),
+    (lambda: run_family_sweep(_PROBLEM, None), InputError, "mult must be Multipliers, got None"),
+    (lambda: anneal(_PROBLEM, _BACKEND["mult"], None), InputError, "schedule must be AnnealSchedule, got None"),
+    (lambda: OptimizerConfig(init_params=None), InputError, "init_params must be LayerParams, got None"),
 ], ids=["run_assignment", "lagrange_sweep-lambdas", "lagrange_sweep-lambda", "lagrange_sweep-assignment",
         "ordering_study", "zeno_demo_rows", "expm_hermitian", "survival_analytic",
-        "survival_empirical", "zeno_limit_error"])
+        "survival_empirical", "zeno_limit_error", "build_circuit-problem", "build_circuit-mult",
+        "build_circuit-params", "FunctionalCircuit-problem", "FunctionalCircuit-mult",
+        "evaluate_params-params", "sampled_metrics-params", "state_visit_histogram-params",
+        "optimize-config", "lagrange_sweep-config", "ordering_study-config", "run_assignment-mult",
+        "run_assignment-config", "run_family_sweep-mult", "anneal-schedule", "OptimizerConfig-init_params"])
 def test_wrong_types_raise_zenopt_errors(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
