@@ -48,6 +48,7 @@ class AnnealResult:
 
 def anneal(problem: ConstrainedBinaryProblem, mult: Multipliers, schedule: AnnealSchedule) -> AnnealResult:
     """Metropolis single-bit-flip walk under a geometric temperature ramp."""
+    check_type(problem, ConstrainedBinaryProblem, "problem")
     check_type(schedule, AnnealSchedule, "schedule")
     qubo = compile_qubo(problem, (QAOA,) * problem.n_constraints, mult)
     n = qubo.n_bits

@@ -31,7 +31,9 @@ class CostRegisterLayout:
     """One constraint's cost register and violation flag: the adder writes
     sum_i weights[i] * x_i of the decision qubits into ``cost_qubits``, and the
     comparator flags cost > ``bound``.  Every range the two circuits rely on
-    is checked here, once."""
+    is checked here, once, or LayoutError: the qubits are disjoint, there is
+    one non-negative weight per decision qubit, the weight sum fits the
+    ``width_m`` cost qubits and 0 <= bound < 2^width_m."""
 
     decision_qubits: tuple[int, ...]
     weights: tuple[int, ...]

@@ -75,7 +75,9 @@ ORDERINGS = (NATURAL, ZENO_FIRST, DEPHASE_FIRST)
 
 @dataclass(frozen=True)
 class LayerParams:
-    """Angles for P layers plus the Zeno measurement count Q."""
+    """Angles for P layers plus the Zeno measurement count Q: gamma and beta
+    are stored as tuples of finite real angles, of equal positive length, and
+    Q is an integer >= 1, or InputError."""
 
     gamma: tuple[float, ...]
     beta: tuple[float, ...]
@@ -97,6 +99,7 @@ class LayerParams:
 
     @staticmethod
     def initial(p_layers: int = 1, q_measurements: int = 1) -> "LayerParams":
+        """Every angle 0.1 over ``p_layers``, an integer from 1 to 2^63 - 1."""
         check_int(p_layers, "p_layers", 1, INT64_MAX)
         return LayerParams((0.1,) * p_layers, (0.1,) * p_layers, q_measurements)
 
@@ -327,6 +330,9 @@ def prepare_initial_state(
     post-selection is state preparation, so survival_prob is 1 and then
     tracks only the circuit's own projections.
     """
+    check_type(problem, ConstrainedBinaryProblem, "problem")
+    check_type(layout, CircuitLayout, "layout")
+    assignment = check_kinds(assignment)
     k = len(layout.decision) + len(layout.slack)
     if (*layout.decision, *layout.slack) != tuple(range(k)):
         raise LayoutError(
@@ -340,6 +346,8 @@ def prepare_initial_state(
 
 def run_circuit(circuit: HybridCircuit, state: Statevector) -> Statevector:
     """Execute gates and projections in stream order on one working copy."""
+    check_type(circuit, HybridCircuit, "circuit")
+    check_type(state, Statevector, "state")
     if state.n_qubits != circuit.layout.n_qubits:
         raise InputError(
             f"state has {state.n_qubits} qubits, circuit needs {circuit.layout.n_qubits}"

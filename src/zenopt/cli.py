@@ -1,4 +1,5 @@
-"""Command-line front end for the experiment harness.
+"""Command-line front end for the experiment harness, and the one writer of
+its tables: each command's CSV header and row layout live in that command.
 
 Exit codes: 0 success, 2 input error, 3 capacity error.
 """
@@ -7,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import functools
 import sys
+from dataclasses import astuple, fields
 
 from .annealing import AnnealSchedule, anneal
-from .builder import LayerParams, ORDERINGS, parse_assignment
+from .builder import CircuitStats, LayerParams, ORDERINGS, parse_assignment
 from .errors import CapacityError, InputError, ZenoptError
 from .harness import (
     SWEEP_CONFIG,
@@ -20,17 +23,16 @@ from .harness import (
     run_family_sweep,
     sampled_metrics,
     state_visit_histogram,
-    write_family_csv,
-    write_histogram_csv,
-    write_lagrange_csv,
-    write_ordering_csv,
-    write_sa_csv,
-    write_trace_csv,
-    write_zeno_csv,
     zeno_demo_rows,
 )
 from .optimizer import OptimizerConfig, optimize
 from .problem import Multipliers, default_multipliers, load_problem
+
+FAMILY_CSV_COLUMNS = [
+    "assignment", "non_local", "qubits", "clbits", "depth", "width", "size",
+    "params", "factors", "expected_cost", "p_feasible", "p_optimal",
+    "survival", "wall_time_s", "error",
+]
 
 
 def _int_at_least(low: int):
@@ -91,13 +93,24 @@ def _config(args) -> OptimizerConfig:
     return OptimizerConfig(max_iters=args.iters, seed=args.seed, init_params=init)
 
 
+def _write_csv(path: str, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _cmd_solve(args) -> None:
     problem = load_problem(args.problem)
     assignment = parse_assignment(args.assign)
     mult = _multipliers(problem, args)
     trace = optimize(problem, assignment, mult, _config(args), args.ordering)
     if args.out:
-        write_trace_csv(trace, args.out)
+        header = ["iter", *(f"gamma_{i}" for i in range(args.p)), *(f"beta_{i}" for i in range(args.p)),
+                  "expected_cost", "p_feasible", "p_optimal", "survival_prob"]
+        rows = ([rec.iteration, *rec.gamma, *rec.beta, rec.expected_cost, rec.p_feasible, rec.p_optimal,
+                 rec.survival_prob] for rec in trace.records)
+        _write_csv(args.out, header, rows)
     final = trace.final
     if args.shots:
         final = sampled_metrics(
@@ -116,7 +129,12 @@ def _cmd_sweep_family(args) -> None:
     problem = load_problem(args.problem)
     mult = _multipliers(problem, args)
     rows = run_family_sweep(problem, mult, _config(args), args.ordering, workers=args.workers)
-    write_family_csv(rows, args.out)
+    no_stats = ("",) * len(fields(CircuitStats))
+    _write_csv(args.out, FAMILY_CSV_COLUMNS, (
+        [",".join(r.assignment), *(astuple(r.stats) if r.stats else no_stats), r.expected_cost,
+         r.p_feasible, r.p_optimal, r.survival_prob, r.wall_time, r.error]
+        for r in rows
+    ))
     failed = sum(1 for r in rows if r.error)
     print(f"{len(rows)} assignments swept, {failed} failed rows -> {args.out}")
 
@@ -125,7 +143,8 @@ def _cmd_sweep_lagrange(args) -> None:
     problem = load_problem(args.problem)
     assignment = parse_assignment(args.assign)
     rows = lagrange_sweep(problem, assignment, args.lambdas, _config(args), args.ordering)
-    write_lagrange_csv(rows, args.out)
+    header = ["lambda", "expected_cost", "p_feasible", "p_optimal", "survival"]
+    _write_csv(args.out, header, ([lam, *res] for lam, res in rows))
     print(f"{len(rows)} multiplier values -> {args.out}")
 
 
@@ -134,7 +153,8 @@ def _cmd_ordering(args) -> None:
     assignment = parse_assignment(args.assign)
     mult = _multipliers(problem, args)
     rows = ordering_study(problem, assignment, mult, _config(args), reoptimize=args.reoptimize)
-    write_ordering_csv(rows, args.out)
+    header = ["ordering", "expected_cost", "p_feasible", "p_optimal", "survival"]
+    _write_csv(args.out, header, ([ordering, *res] for ordering, res in rows.items()))
     values = [res.p_feasible for res in rows.values()]
     print(f"p_feasible spread {max(values) - min(values):.6f} -> {args.out}")
 
@@ -145,13 +165,14 @@ def _cmd_histogram(args) -> None:
     mult = _multipliers(problem, args)
     params = LayerParams((args.gamma,) * args.p, (args.beta,) * args.p, args.q)
     result = state_visit_histogram(problem, assignment, mult, params, args.ordering)
-    write_histogram_csv(result, args.out)
+    _write_csv(args.out, ["state", "probability"], sorted(result.probabilities.items()))
     print(f"support {result.support_size} of {1 << problem.n_vars} states -> {args.out}")
 
 
 def _cmd_zeno_demo(args) -> None:
     rows = zeno_demo_rows(args.n_list, t=args.t)
-    write_zeno_csv(rows, args.out)
+    header = ["n", "survival_empirical", "survival_analytic", "limit_error"]
+    _write_csv(args.out, header, ([row[key] for key in header] for row in rows))
     print(f"{len(rows)} measurement counts -> {args.out}")
 
 
@@ -160,7 +181,8 @@ def _cmd_baseline_sa(args) -> None:
     mult = _multipliers(problem, args)
     schedule = AnnealSchedule(args.t_start, args.t_end, args.steps, args.seed)
     result = anneal(problem, mult, schedule)
-    write_sa_csv(result.visit_trace, args.out)
+    rows = ([rec.step, rec.state, rec.cost, int(rec.accepted)] for rec in result.visit_trace)
+    _write_csv(args.out, ["step", "state", "cost", "accepted"], rows)
     print(f"best state {result.best_state} cost {result.best_cost:.6f} -> {args.out}")
 
 

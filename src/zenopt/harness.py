@@ -1,21 +1,23 @@
 """Batch experiment engine: the 3^n assignment-family sweep, Lagrange
-sensitivity curves, block-ordering comparison, state-visit histograms, and
-CSV emission for all of them.
+sensitivity curves, block-ordering comparison, state-visit histograms and
+the two-level Zeno survival study.  Each study returns its data; ``cli``
+writes the tables.
 
 Row metrics, histograms and sampled metrics are evaluated on the functional
 backend (exact amplitudes on the decision and slack bits, no circuit
 built); complexity statistics come from one gate-level build of the same
 circuit.  Rows are independent and seeded as base seed + row index, so any
-single row reproduces bit-exactly on its own.
+single row reproduces bit-exactly on its own.  The family sweep defaults to
+``SWEEP_CONFIG`` (40 iterations), the Lagrange and ordering studies to
+``OptimizerConfig()`` (60), and their CLI commands take the same defaults.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .builder import (
 )
 from .errors import CapacityError, InputError, ZenoptError, check_finite, check_int, check_tuple, check_type
 from .functional import EvalResult, FunctionalCircuit
-from .optimizer import OptimizationTrace, OptimizerConfig, evaluate_params, optimize
+from .optimizer import OptimizerConfig, evaluate_params, optimize
 from .problem import DEPHASE, REP_KINDS, ZENO, ConstrainedBinaryProblem, Multipliers, check_kinds
 from .statevector import basis_string, marginal_probabilities, sample
 from .zeno import survival_analytic, survival_empirical, zeno_limit_error
@@ -37,12 +39,6 @@ from .zeno import survival_analytic, survival_empirical, zeno_limit_error
 MAX_FAMILY_CONSTRAINTS = 8
 
 SWEEP_CONFIG = OptimizerConfig(max_iters=40)  # the family sweep's shorter searches
-
-FAMILY_CSV_COLUMNS = [
-    "assignment", "non_local", "qubits", "clbits", "depth", "width", "size",
-    "params", "factors", "expected_cost", "p_feasible", "p_optimal",
-    "survival", "wall_time_s", "error",
-]
 
 
 @dataclass(frozen=True)
@@ -128,6 +124,7 @@ def lagrange_sweep(
     ordering: str = NATURAL,
 ) -> list[tuple[float, EvalResult]]:
     """Optimized run metrics per Lagrange multiplier value."""
+    check_type(problem, ConstrainedBinaryProblem, "problem")
     assignment, lambdas = check_kinds(assignment), check_tuple(lambdas, "lambdas")
     for v in lambdas:
         check_finite(v, "lambda")
@@ -228,58 +225,3 @@ def sampled_metrics(
     for string, count in sample(state, shots, seed).items():
         freqs[int(string, 2)] = count / shots
     return circuit.metrics(freqs, state.survival_prob)
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _family_csv_row(row: SweepResult) -> list:
-    stats = astuple(row.stats) if row.stats else ("",) * len(fields(CircuitStats))
-    metrics = (row.expected_cost, row.p_feasible, row.p_optimal, row.survival_prob)
-    return [",".join(row.assignment), *stats, *metrics, row.wall_time, row.error]
-
-
-def write_family_csv(rows: list[SweepResult], path: str) -> None:
-    _write_csv(path, FAMILY_CSV_COLUMNS, map(_family_csv_row, rows))
-
-
-def write_trace_csv(trace: OptimizationTrace, path: str) -> None:
-    if not trace.records:
-        raise InputError("empty trace")
-    p = len(trace.records[0].gamma)
-    header = ["iter", *(f"gamma_{i}" for i in range(p)), *(f"beta_{i}" for i in range(p)),
-              "expected_cost", "p_feasible", "p_optimal", "survival_prob"]
-    rows = (
-        [rec.iteration, *rec.gamma, *rec.beta, rec.expected_cost,
-         rec.p_feasible, rec.p_optimal, rec.survival_prob]
-        for rec in trace.records
-    )
-    _write_csv(path, header, rows)
-
-
-def write_lagrange_csv(rows: list[tuple[float, EvalResult]], path: str) -> None:
-    header = ["lambda", "expected_cost", "p_feasible", "p_optimal", "survival"]
-    _write_csv(path, header, ([lam, *res] for lam, res in rows))
-
-
-def write_ordering_csv(rows: dict[str, EvalResult], path: str) -> None:
-    header = ["ordering", "expected_cost", "p_feasible", "p_optimal", "survival"]
-    _write_csv(path, header, ([ordering, *res] for ordering, res in rows.items()))
-
-
-def write_histogram_csv(result: HistogramResult, path: str) -> None:
-    _write_csv(path, ["state", "probability"], sorted(result.probabilities.items()))
-
-
-def write_zeno_csv(rows: list[dict[str, float]], path: str) -> None:
-    header = ["n", "survival_empirical", "survival_analytic", "limit_error"]
-    _write_csv(path, header, ([row[key] for key in header] for row in rows))
-
-
-def write_sa_csv(trace, path: str) -> None:
-    rows = ([rec.step, rec.state, rec.cost, int(rec.accepted)] for rec in trace)
-    _write_csv(path, ["step", "state", "cost", "accepted"], rows)

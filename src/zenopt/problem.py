@@ -14,7 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import INT64_MAX, CapacityError, ContractError, InputError, check_finite, check_int, check_tuple
+from .errors import (
+    INT64_MAX, CapacityError, ContractError, InputError, check_finite, check_int, check_tuple, check_type,
+)
 from .statevector import basis_string
 
 QAOA = "QAOA"
@@ -46,7 +48,15 @@ def _check_int64(value: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class ConstrainedBinaryProblem:
-    """Maximize objective . x subject to a list of <= constraints."""
+    """Maximize objective . x subject to a list of <= constraints.
+
+    InputError unless n_vars >= 1, every objective entry, coefficient and
+    bound is an integer (numpy integers too, never bool), coefficients and
+    bounds are non-negative, and the sum of |objective entries|, each
+    coefficient sum and each bound are at most 2^63 - 1, the int64 range of
+    the exact enumeration.  The objective, constraints, labels and each
+    constraint's coefficients may be any iterables and are stored as tuples.
+    """
 
     n_vars: int
     objective: tuple[int, ...]
@@ -88,7 +98,8 @@ class ConstrainedBinaryProblem:
 
 @dataclass(frozen=True)
 class Multipliers:
-    """Per-constraint Lagrange weights plus the dephasing strength."""
+    """Per-constraint Lagrange weights, stored as a tuple, plus the dephasing
+    strength alpha; each is finite and non-negative, or InputError."""
 
     lambdas: tuple[float, ...]
     alpha: float
@@ -103,6 +114,8 @@ class Multipliers:
 
     @staticmethod
     def uniform(n_constraints: int, lam: float, alpha: float | None = None) -> "Multipliers":
+        """``lam`` for every constraint, and alpha ``lam`` unless given; the
+        count, lam and alpha are checked before they are converted."""
         check_int(n_constraints, "n_constraints", 0, INT64_MAX)
         alpha = lam if alpha is None else alpha
         check_finite(lam, "lambda")
@@ -113,6 +126,7 @@ class Multipliers:
 def default_multipliers(problem: ConstrainedBinaryProblem, alpha: float | None = None) -> Multipliers:
     """Single scalar for every constraint, large enough for penalty dominance;
     ``alpha`` as in ``Multipliers.uniform``."""
+    check_type(problem, ConstrainedBinaryProblem, "problem")
     lam = float(sum(abs(c) for c in problem.objective) + 1)
     return Multipliers.uniform(problem.n_constraints, lam, alpha)
 
@@ -203,6 +217,8 @@ def compile_qubo(problem: ConstrainedBinaryProblem, assignment, mult: Multiplier
     delta = sum_k 2^k C_k so that lambda * (a . x + delta - b)^2 penalizes any
     violation; DEPHASE/ZENO constraints contribute nothing here.
     """
+    check_type(problem, ConstrainedBinaryProblem, "problem")
+    check_type(mult, Multipliers, "mult")
     assignment = check_kinds(assignment)
     if len(assignment) != problem.n_constraints:
         raise InputError("assignment length must equal the number of constraints")
@@ -331,6 +347,7 @@ def brute_force_solve(problem: ConstrainedBinaryProblem) -> BruteForceResult:
     Not cached: the result's frozensets take about 64 bytes per feasible
     state, against 8 for the cached ``constraint_excess`` table it reads.
     """
+    check_type(problem, ConstrainedBinaryProblem, "problem")
     feasible, optimal = (np.flatnonzero(mask).tolist() for mask in solution_masks(problem))
     opt_value = int(sum(c for v, c in enumerate(problem.objective) if optimal[0] >> v & 1))
     return BruteForceResult(opt_value, frozenset(optimal), frozenset(feasible), problem.n_vars)
@@ -375,8 +392,13 @@ def problem_from_json(text: str) -> ConstrainedBinaryProblem:
 
 
 def load_problem(path: str) -> ConstrainedBinaryProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_json(fh.read())
+    """``problem_from_json`` of a UTF-8 file; InputError naming ``path`` for any other bytes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"problem file {path!r} is not UTF-8 text: {exc}") from None
+    return problem_from_json(text)
 
 
 def save_problem(problem: ConstrainedBinaryProblem, path: str) -> None:

@@ -240,7 +240,8 @@ def _mapped_zeros(n_qubits: int, populate: bool = False) -> np.ndarray:
 
 
 def new_state(n_qubits: int) -> Statevector:
-    """All-zeros computational basis state |0...0> on ``n_qubits`` qubits.
+    """All-zeros computational basis state |0...0> on ``n_qubits`` qubits, an
+    integer (InputError) from 1 to ``MAX_QUBITS`` (CapacityError).
 
     The state takes 16 * 2**n bytes; see the module docstring for the copies
     a gate run holds on top of it.
@@ -536,7 +537,8 @@ def project_qubit(state: Statevector, qubit: int, outcome: int) -> Statevector:
 
 
 def sample(state: Statevector, shots: int, seed: int) -> dict[str, int]:
-    """Multinomial sampling of basis strings; deterministic given ``seed``."""
+    """Multinomial sampling of basis strings; deterministic given ``seed``.
+    ``shots`` is an integer from 1 to 2^63 - 1 and ``seed`` one >= 0, or InputError."""
     check_int(shots, "shots", 1, INT64_MAX)
     check_int(seed, "seed", 0)
     probs = state.probabilities()

@@ -2,11 +2,17 @@ import csv
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zenopt import (
+    AnnealSchedule,
     CapacityError,
     ConstrainedBinaryProblem,
     Constraint,
@@ -18,6 +24,7 @@ from zenopt import (
     OptimizerConfig,
     QAOA,
     ZENO,
+    anneal,
     build_circuit,
     cargo_instance,
     circuit_stats,
@@ -33,9 +40,8 @@ from zenopt import (
     state_visit_histogram,
     zeno_demo_rows,
 )
-from zenopt.cli import build_parser, main
-from zenopt.harness import FAMILY_CSV_COLUMNS, SWEEP_CONFIG, write_trace_csv
-from zenopt.optimizer import OptimizationTrace
+from zenopt.cli import FAMILY_CSV_COLUMNS, build_parser, main
+from zenopt.harness import SWEEP_CONFIG
 from zenopt.problem import save_problem, solution_masks
 
 
@@ -397,6 +403,88 @@ def test_cli_histogram_zeno_demo_sa(cargo_json, tmp_path):
 
 WEIGHT_ZENO = "ZENO,QAOA,QAOA,QAOA,QAOA,QAOA"
 MIXED = "DEPHASE,ZENO,DEPHASE,ZENO,QAOA,QAOA"
+ALL_QAOA = "QAOA,QAOA,QAOA,QAOA,QAOA,QAOA"
+_METRIC_COLUMNS = ["expected_cost", "p_feasible", "p_optimal", "survival"]
+
+
+def _config(p=1, q=1, iters=4, seed=0):
+    return OptimizerConfig(max_iters=iters, seed=seed, init_params=LayerParams.initial(p, q))
+
+
+def _solve_rows(problem):
+    trace = optimize(problem, parse_assignment(WEIGHT_ZENO), Multipliers.uniform(6, 13), _config(2, 2, 10, 3))
+    return [[r.iteration, *r.gamma, *r.beta, r.expected_cost, r.p_feasible, r.p_optimal, r.survival_prob]
+            for r in trace.records]
+
+
+def _family_rows(problem):
+    rows = run_family_sweep(problem, Multipliers.uniform(3, 2), _config())
+    return [[",".join(r.assignment), *astuple(r.stats), r.expected_cost, r.p_feasible, r.p_optimal,
+             r.survival_prob, r.error] for r in rows]
+
+
+def _lagrange_rows(problem):
+    rows = lagrange_sweep(problem, parse_assignment(ALL_QAOA), [1, 5], _config())
+    return [[lam, *res] for lam, res in rows]
+
+
+def _ordering_rows(problem):
+    rows = ordering_study(problem, parse_assignment(MIXED), Multipliers.uniform(6, 13), _config())
+    return [[ordering, *res] for ordering, res in rows.items()]
+
+
+def _histogram_rows(problem):
+    params = LayerParams((0.3,) * 2, (0.7,) * 2, 2)
+    result = state_visit_histogram(problem, parse_assignment(WEIGHT_ZENO), Multipliers.uniform(6, 13), params)
+    return sorted(result.probabilities.items())
+
+
+def _zeno_rows(problem):
+    return [list(row.values()) for row in zeno_demo_rows([1, 2, 4, 8])]
+
+
+def _sa_rows(problem):
+    trace = anneal(problem, Multipliers.uniform(6, 13), AnnealSchedule(10.0, 0.05, 60, 2)).visit_trace
+    return [[r.step, r.state, r.cost, int(r.accepted)] for r in trace]
+
+
+@pytest.mark.parametrize("problem, argv, header, library_rows", [
+    (cargo, ["solve", "--assign", WEIGHT_ZENO, "--lambda", "13", "--p", "2", "--q", "2",
+             "--iters", "10", "--seed", "3"],
+     ["iter", "gamma_0", "gamma_1", "beta_0", "beta_1", "expected_cost", "p_feasible", "p_optimal",
+      "survival_prob"], _solve_rows),
+    (tiny, ["sweep-family", "--lambda", "2", "--iters", "4"],
+     ["assignment", "non_local", "qubits", "clbits", "depth", "width", "size", "params", "factors",
+      *_METRIC_COLUMNS, "wall_time_s", "error"], _family_rows),
+    (cargo, ["sweep-lagrange", "--assign", ALL_QAOA, "--lambdas", "1,5", "--iters", "4"],
+     ["lambda", *_METRIC_COLUMNS], _lagrange_rows),
+    (cargo, ["ordering", "--assign", MIXED, "--lambda", "13", "--iters", "4"],
+     ["ordering", *_METRIC_COLUMNS], _ordering_rows),
+    (cargo, ["histogram", "--assign", WEIGHT_ZENO, "--lambda", "13", "--gamma", "0.3", "--beta", "0.7",
+             "--p", "2", "--q", "2"],
+     ["state", "probability"], _histogram_rows),
+    (None, ["zeno-demo", "--n-list", "1,2,4,8"],
+     ["n", "survival_empirical", "survival_analytic", "limit_error"], _zeno_rows),
+    (cargo, ["baseline-sa", "--lambda", "13", "--steps", "60", "--seed", "2"],
+     ["step", "state", "cost", "accepted"], _sa_rows),
+], ids=["solve", "sweep-family", "sweep-lagrange", "ordering", "histogram", "zeno-demo", "baseline-sa"])
+def test_cli_tables_write_the_library_results(problem, argv, header, library_rows, tmp_path):
+    """Each command's CSV is its exact header, then the rows its library call
+    returns, in order, each value as Python writes it; the family sweep's
+    wall_time_s column is left out of the row comparison."""
+    path, out = tmp_path / "problem.json", tmp_path / "table.csv"
+    if problem is not None:
+        save_problem(problem(), str(path))
+        argv = [*argv, "--problem", str(path)]
+    assert main([*argv, "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        written_header, *rows = csv.reader(fh)
+    assert written_header == header
+    if "wall_time_s" in header:
+        wall = header.index("wall_time_s")
+        rows = [row[:wall] + row[wall + 1:] for row in rows]
+    expected = [[str(v) for v in row] for row in library_rows(problem() if problem else None)]
+    assert rows == expected
 
 
 @pytest.mark.parametrize(
@@ -539,6 +627,17 @@ def test_cli_exit_codes(tmp_path):
     assert main([*argv, "--out", str(tmp_path)]) == 2
 
 
+def test_python_m_zenopt_rejects_a_problem_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "zenopt", "solve", "--problem", str(path), "--assign", "QAOA"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"input error: problem file {str(path)!r} is not UTF-8 text"), proc.stderr
+
+
 def test_cli_other_library_errors_exit_2(tmp_path, capsys):
     # RX(pi) maps the one state with x0 + x1 <= 0 onto |11>, so the Zeno
     # projection keeps nothing and raises EmptySubspaceError.
@@ -550,9 +649,3 @@ def test_cli_other_library_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: Zeno projection of constraint 0 ('c')")
     assert not (tmp_path / "x.csv").exists()
 
-
-def test_write_trace_csv_rejects_an_empty_trace(tmp_path):
-    trace = OptimizationTrace([], LayerParams.initial(), None, 0.0)
-    with pytest.raises(InputError, match="empty trace"):
-        write_trace_csv(trace, str(tmp_path / "x.csv"))
-    assert not (tmp_path / "x.csv").exists()

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from zenopt import (
     ORDERINGS,
     QAOA,
+    AnnealSchedule,
     ConstrainedBinaryProblem,
     Constraint,
     FunctionalCircuit,
@@ -31,9 +32,11 @@ from zenopt import (
     Multipliers,
     OptimizerConfig,
     anneal,
+    brute_force_solve,
     build_circuit,
     circuit_stats,
     compile_qubo,
+    default_multipliers,
     evaluate_params,
     expm_hermitian,
     lagrange_sweep,
@@ -245,10 +248,11 @@ def test_broken_values_raise_zenopt_errors(data):
 
 _X, _P0, _KET0 = [[0, 1], [1, 0]], [[1, 0], [0, 0]], [1, 0]
 _CONFIG = OptimizerConfig(max_iters=1)
+_CIRCUIT = build_circuit(**_BACKEND, params=_PARAMS)
 
 
-# Wrong-type arguments to the harness and zeno entry points: the harness
-# raises InputError, and zeno ContractError, as it does for a bad count.
+# Wrong-type arguments to the entry points: zeno raises ContractError, as it
+# does for a bad count, and every other module InputError.
 @pytest.mark.parametrize("call, error, message", [
     (lambda: run_assignment(_PROBLEM, None, _BACKEND["mult"], _CONFIG), InputError,
      "assignment must be a sequence, got None"),
@@ -289,13 +293,32 @@ _CONFIG = OptimizerConfig(max_iters=1)
     (lambda: run_family_sweep(_PROBLEM, None), InputError, "mult must be Multipliers, got None"),
     (lambda: anneal(_PROBLEM, _BACKEND["mult"], None), InputError, "schedule must be AnnealSchedule, got None"),
     (lambda: OptimizerConfig(init_params=None), InputError, "init_params must be LayerParams, got None"),
+    (lambda: lagrange_sweep(None, ("ZENO", "DEPHASE"), [1.0], _CONFIG), InputError,
+     "problem must be ConstrainedBinaryProblem, got None"),
+    (lambda: anneal(None, _BACKEND["mult"], AnnealSchedule()), InputError,
+     "problem must be ConstrainedBinaryProblem, got None"),
+    (lambda: anneal(_PROBLEM, None, AnnealSchedule()), InputError, "mult must be Multipliers, got None"),
+    (lambda: compile_qubo(**dict(_BACKEND, problem=None)), InputError,
+     "problem must be ConstrainedBinaryProblem, got None"),
+    (lambda: compile_qubo(**dict(_BACKEND, mult=None)), InputError, "mult must be Multipliers, got None"),
+    (lambda: prepare_initial_state(_PROBLEM, _BACKEND["assignment"], None), InputError,
+     "layout must be CircuitLayout, got None"),
+    (lambda: prepare_initial_state(None, _BACKEND["assignment"], _CIRCUIT.layout), InputError,
+     "problem must be ConstrainedBinaryProblem, got None"),
+    (lambda: run_circuit(None, new_state(2)), InputError, "circuit must be HybridCircuit, got None"),
+    (lambda: run_circuit(_CIRCUIT, None), InputError, "state must be Statevector, got None"),
+    (lambda: default_multipliers(None), InputError, "problem must be ConstrainedBinaryProblem, got None"),
+    (lambda: brute_force_solve(None), InputError, "problem must be ConstrainedBinaryProblem, got None"),
 ], ids=["run_assignment", "lagrange_sweep-lambdas", "lagrange_sweep-lambda", "lagrange_sweep-assignment",
         "ordering_study", "zeno_demo_rows", "expm_hermitian", "survival_analytic",
         "survival_empirical", "zeno_limit_error", "build_circuit-problem", "build_circuit-mult",
         "build_circuit-params", "FunctionalCircuit-problem", "FunctionalCircuit-mult",
         "evaluate_params-params", "sampled_metrics-params", "state_visit_histogram-params",
         "optimize-config", "lagrange_sweep-config", "ordering_study-config", "run_assignment-mult",
-        "run_assignment-config", "run_family_sweep-mult", "anneal-schedule", "OptimizerConfig-init_params"])
+        "run_assignment-config", "run_family_sweep-mult", "anneal-schedule", "OptimizerConfig-init_params",
+        "lagrange_sweep-problem", "anneal-problem", "anneal-mult", "compile_qubo-problem",
+        "compile_qubo-mult", "prepare_initial_state-layout", "prepare_initial_state-problem",
+        "run_circuit-circuit", "run_circuit-state", "default_multipliers", "brute_force_solve"])
 def test_wrong_types_raise_zenopt_errors(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
