@@ -3,14 +3,7 @@
 
 import numpy as np
 
-from zenopt import (
-    apply_gate,
-    apply_gates,
-    expectation_diagonal,
-    new_state,
-    project_qubit,
-    sample,
-)
+from zenopt import apply_gates, expectation_diagonal, new_state, project_qubit, sample
 from zenopt.statevector import gate_cnot, gate_h, gate_rx, gate_rzz
 
 # A Bell pair: H on qubit 0, then CNOT onto qubit 1.

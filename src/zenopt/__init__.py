@@ -1,13 +1,6 @@
 """Statevector toolkit for constrained binary optimization with hybrid
 QAOA / penalty-dephasing / quantum-Zeno circuits."""
 
-from .arithmetic import (
-    CostRegisterLayout,
-    build_comparator,
-    build_cost_adder,
-    build_uncompute,
-    register_width,
-)
 from .builder import (
     DEPHASE_FIRST,
     NATURAL,
@@ -17,12 +10,7 @@ from .builder import (
     HybridCircuit,
     LayerParams,
     build_circuit,
-    build_dephasing_layer,
-    build_phase_return,
-    build_zeno_layer,
     circuit_stats,
-    circuit_to_json,
-    parse_assignment,
     prepare_initial_state,
     run_circuit,
 )
@@ -75,7 +63,6 @@ from .problem import (
     qubo_to_ising,
     qubo_values,
     save_problem,
-    slack_width,
 )
 from .statevector import (
     Gate,
@@ -83,7 +70,6 @@ from .statevector import (
     Statevector,
     apply_gate,
     apply_gates,
-    basis_string,
     expectation_diagonal,
     marginal_probabilities,
     new_state,

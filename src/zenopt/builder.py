@@ -148,10 +148,6 @@ class CircuitStats:
     n_unitary_factors: int
 
 
-def parse_assignment(text: str) -> tuple[str, ...]:
-    return check_kinds(part.strip().upper() for part in text.split(","))
-
-
 def build_layout(problem: ConstrainedBinaryProblem, assignment, qubo_n_bits: int) -> CircuitLayout:
     """Allocate decision, slack, and pooled cost-register qubits; a register,
     holding the constraint's nonzero weights and bound, only for a DEPHASE or
@@ -362,6 +358,7 @@ def ancilla_mass(state: Statevector, layout: CircuitLayout) -> float:
 
 def circuit_stats(circuit: HybridCircuit) -> CircuitStats:
     """Complexity metrics over the flat gate list."""
+    check_type(circuit, HybridCircuit, "circuit")
     n = circuit.layout.n_qubits
     depth_per_qubit = [0] * n
     non_local = 0

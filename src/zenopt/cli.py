@@ -14,7 +14,7 @@ import sys
 from dataclasses import astuple, fields
 
 from .annealing import AnnealSchedule, anneal
-from .builder import CircuitStats, LayerParams, ORDERINGS, parse_assignment
+from .builder import CircuitStats, LayerParams, ORDERINGS
 from .errors import CapacityError, InputError, ZenoptError
 from .harness import (
     SWEEP_CONFIG,
@@ -26,7 +26,7 @@ from .harness import (
     zeno_demo_rows,
 )
 from .optimizer import OptimizerConfig, optimize
-from .problem import Multipliers, default_multipliers, load_problem
+from .problem import Multipliers, check_kinds, default_multipliers, load_problem
 
 FAMILY_CSV_COLUMNS = [
     "assignment", "non_local", "qubits", "clbits", "depth", "width", "size",
@@ -75,6 +75,10 @@ def _comma_list(convert):
             ) from None
 
     return parse
+
+
+def parse_assignment(text: str) -> tuple[str, ...]:
+    return check_kinds(part.strip().upper() for part in text.split(","))
 
 
 def _add_shared(sub: argparse.ArgumentParser, *names: str) -> None:

@@ -9,6 +9,7 @@ rightmost.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -141,7 +142,7 @@ def cargo_instance(weights: list[int], n_positions: int, max_weight: int) -> Con
     weights = check_tuple(weights, "weights")
     if not weights:
         raise InputError("weights must be non-empty")
-    check_int(n_positions, "n_positions", 1)
+    check_int(n_positions, "n_positions", 1, INT64_MAX)
     check_finite(max_weight, "max_weight")  # the weight constraint checks it is an integer
     if max_weight < 0:
         raise InputError("max_weight must be >= 0")
@@ -190,6 +191,7 @@ def qubo_values(qubo: Qubo) -> np.ndarray:
     bit's couplings table takes half of that again, its doubling temporaries
     the other half.
     """
+    check_type(qubo, Qubo, "qubo")
     Q, B = qubo.Q, qubo.B
     table = np.empty(1 << qubo.n_bits)
     table[0] = qubo.const_term
@@ -268,6 +270,7 @@ class IsingCoeffs:
 
 def qubo_to_ising(qubo: Qubo) -> IsingCoeffs:
     """Exact change of variables x_i = (1 + z_i) / 2 on the QUBO cost."""
+    check_type(qubo, Qubo, "qubo")
     Q, B = qubo.Q, qubo.B
     if not np.allclose(Q, Q.T, atol=1e-12):
         raise ContractError("QUBO matrix must be symmetric")
@@ -354,6 +357,7 @@ def brute_force_solve(problem: ConstrainedBinaryProblem) -> BruteForceResult:
 
 
 def problem_to_json(problem: ConstrainedBinaryProblem) -> str:
+    check_type(problem, ConstrainedBinaryProblem, "problem")
     doc = {
         "objective": list(problem.objective),
         "constraints": [
@@ -392,15 +396,23 @@ def problem_from_json(text: str) -> ConstrainedBinaryProblem:
 
 
 def load_problem(path: str) -> ConstrainedBinaryProblem:
-    """``problem_from_json`` of a UTF-8 file; InputError naming ``path`` for any other bytes."""
+    """``problem_from_json`` of a UTF-8 file; InputError naming ``path`` for any
+    other bytes or a path that cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(os.fspath(path), "r", encoding="utf-8") as fh:  # fspath: never a file descriptor
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"problem file {path!r} is not UTF-8 text: {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot read problem file {path!r}: {exc}") from None
     return problem_from_json(text)
 
 
 def save_problem(problem: ConstrainedBinaryProblem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(problem_to_json(problem))
+    """``problem_to_json`` to a file; InputError naming ``path`` if it cannot be written."""
+    text = problem_to_json(problem)
+    try:
+        with open(os.fspath(path), "w", encoding="utf-8") as fh:  # fspath: never a file descriptor
+            fh.write(text)
+    except (OSError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot write problem file {path!r}: {exc}") from None

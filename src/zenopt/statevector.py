@@ -6,8 +6,9 @@ new ``Statevector`` values and never mutate their arguments.
 
 A ``Gate`` checks its kind, its arity and that its qubits are distinct
 when it is built, from one table that gives each kind its fewest and most
-qubits and whether it takes an angle; a ``Projection`` checks its outcome.
-The kernels check only that the qubits are in range.
+qubits and whether it takes an angle; a ``Projection`` checks its qubit and
+outcome.  The kernels check the types of their state and gates
+(InputError) and that the qubits are in range (ShapeError).
 
 Kernels keep no caches.  A gate on two or more qubits acts on a strided view
 of the amplitudes read as one axis per qubit (qubit q is axis n-1-q), with
@@ -61,12 +62,14 @@ holds two half-array temporaries per qubit; ``Statevector.probabilities``,
 from __future__ import annotations
 
 import mmap
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import INT64_MAX, CapacityError, EmptySubspaceError, ShapeError, check_int
+from .errors import (
+    INT64_MAX, CapacityError, EmptySubspaceError, ShapeError, check_int, check_tuple, check_type,
+)
 
 MAX_QUBITS = 26
 # After projections of total survival s, amplitudes reproduce only to about 1e-17/sqrt(s).
@@ -136,6 +139,8 @@ class Gate:
     angle: float = 0.0
 
     def __post_init__(self):
+        check_type(self.kind, str, "kind")
+        object.__setattr__(self, "qubits", check_tuple(self.qubits, "qubits"))
         if self.kind not in _GATE_RULES:
             raise ShapeError(f"unknown gate kind {self.kind!r}")
         fewest, most, _ = _GATE_RULES[self.kind]
@@ -201,19 +206,22 @@ class Projection:
     outcome: int = 0
 
     def __post_init__(self):
+        check_int(self.qubit, "qubit", 0)
         if self.outcome not in (0, 1):
             raise ShapeError(f"outcome must be 0 or 1, got {self.outcome}")
 
 
 @dataclass(frozen=True)
 class Statevector:
-    """2^n complex amplitudes plus cumulative post-selection probability."""
+    """2^n complex amplitudes, n an integer from 0 to ``MAX_QUBITS`` (InputError),
+    plus cumulative post-selection probability."""
 
     n_qubits: int
     amplitudes: np.ndarray
     survival_prob: float = 1.0
 
     def __post_init__(self):
+        check_int(self.n_qubits, "n_qubits", 0, MAX_QUBITS)
         shape = np.shape(self.amplitudes)
         if shape != (2**self.n_qubits,):
             raise ShapeError(f"a {self.n_qubits}-qubit state needs shape ({2**self.n_qubits},), got {shape}")
@@ -369,6 +377,7 @@ def _runs(gates: Sequence[Gate], n_qubits: int):
     """
     run: list[Gate] = []
     for gate in gates:
+        check_type(gate, Gate, "gate")
         g_lo, g_hi = min(gate.qubits), max(gate.qubits)
         if g_lo < 0 or g_hi >= n_qubits:
             q = g_lo if g_lo < 0 else g_hi
@@ -506,6 +515,8 @@ def apply_gates(
     ANNIHILATION_PROB raises EmptySubspaceError.  Fused runs round
     differently from the gates folded one by one, by about 1e-15.
     """
+    check_type(state, Statevector, "state")
+    gates = check_tuple(gates, "gates")
     n = state.n_qubits
     amps = _mapped_zeros(n, populate=True)
     amps[...] = state.amplitudes
@@ -518,7 +529,7 @@ def apply_gates(
                 f"projection position {position} is out of order or beyond {len(gates)} gates"
             )
         live = _apply_runs(amps, gates[done:position], n, live)
-        m = max(live, projection.qubit + 1)
+        m = min(max(live, projection.qubit + 1), n)  # _project rejects a qubit beyond n
         survival *= _project(amps[: 1 << m], n, projection)
         live = _live(amps, m) if projection.qubit + 1 >= live else live
         done = position
@@ -539,6 +550,7 @@ def project_qubit(state: Statevector, qubit: int, outcome: int) -> Statevector:
 def sample(state: Statevector, shots: int, seed: int) -> dict[str, int]:
     """Multinomial sampling of basis strings; deterministic given ``seed``.
     ``shots`` is an integer from 1 to 2^63 - 1 and ``seed`` one >= 0, or InputError."""
+    check_type(state, Statevector, "state")
     check_int(shots, "shots", 1, INT64_MAX)
     check_int(seed, "seed", 0)
     probs = state.probabilities()
@@ -555,6 +567,8 @@ def expectation_diagonal(state: Statevector, value_fn: Callable) -> float:
     ``value_fn`` is called once on the int64 array of all basis indices and
     must return one value per index; any other shape raises ShapeError.
     """
+    check_type(state, Statevector, "state")
+    check_type(value_fn, Callable, "value_fn")
     idx = np.arange(state.dim, dtype=np.int64)
     vals = np.asarray(value_fn(idx), dtype=np.float64)
     if vals.shape != idx.shape:
@@ -570,7 +584,10 @@ def marginal_probabilities(state: Statevector, qubits: Sequence[int]) -> np.ndar
     summed over the qubits below ``low`` that are not kept; the sum is added
     to the outputs that the row's bits on the kept qubits above it select.
     """
-    qubits = list(qubits)
+    check_type(state, Statevector, "state")
+    qubits = list(check_tuple(qubits, "qubits"))
+    for q in qubits:
+        check_int(q, "qubit")
     n, k = state.n_qubits, len(qubits)
     if len(set(qubits)) != k or not all(0 <= q < n for q in qubits):
         raise ShapeError(f"marginal qubits {qubits} must be distinct and in [0, {n})")

@@ -4,22 +4,32 @@ projected-Hamiltonian limit dynamics, in dense linear algebra (hbar = 1).
 Every function takes plain array-likes and checks each matrix it is given: a
 Hamiltonian must be Hermitian and a projector idempotent, both within 1e-12
 (ContractError), and square with dimension at most ``MAX_DIM``
-(CapacityError).  A time must be finite and a measurement count an integer
->= 1 (ContractError).  Matrix exponentials go through an eigendecomposition so
-repeated projection products stay exact to machine precision.
+(CapacityError).  A matrix or state numpy cannot read as a complex array,
+a time that is not finite and a measurement count that is not an integer
+from 1 to 2^63 - 1 raise ContractError.  Matrix exponentials go through an
+eigendecomposition so repeated projection products stay exact to machine
+precision.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, InputError, check_finite, check_int
+from .errors import INT64_MAX, CapacityError, ContractError, InputError, check_finite, check_int
 
 MAX_DIM = 256
 
 
+def _complex_array(value, what: str) -> np.ndarray:
+    """``value`` as a complex array; ContractError for anything numpy cannot convert."""
+    try:
+        return np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{what} is not an array of numbers: {exc}") from None
+
+
 def _square(mat) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = _complex_array(mat, "matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {mat.shape}")
     if mat.shape[0] > MAX_DIM:
@@ -51,7 +61,7 @@ def expm_hermitian(hamiltonian, t: float) -> np.ndarray:
 
 
 def _state(psi0, dim: int) -> np.ndarray:
-    psi = np.asarray(psi0, dtype=np.complex128).reshape(-1)
+    psi = _complex_array(psi0, "state").reshape(-1)
     if psi.shape != (dim,):
         raise ContractError(f"state must have dimension {dim}, got {psi.shape}")
     norm = np.linalg.norm(psi)
@@ -61,10 +71,11 @@ def _state(psi0, dim: int) -> np.ndarray:
 
 
 def _check_run(t, n_measurements: int = 1) -> None:
-    """ContractError unless ``t`` is finite and ``n_measurements`` an integer >= 1."""
+    """ContractError unless ``t`` is finite and ``n_measurements`` an integer
+    from 1 to 2^63 - 1."""
     try:
         check_finite(t, "t")
-        check_int(n_measurements, "n_measurements", 1)
+        check_int(n_measurements, "n_measurements", 1, INT64_MAX)
     except InputError as exc:
         raise ContractError(str(exc)) from None
 

@@ -24,7 +24,6 @@ from zenopt import (
     apply_gates,
     brute_force_solve,
     build_circuit,
-    build_dephasing_layer,
     cargo_instance,
     circuit_stats,
     compile_qubo,
@@ -39,12 +38,11 @@ from zenopt import (
     run_assignment,
     run_circuit,
     run_family_sweep,
-    slack_width,
     survival_empirical,
     zeno_limit_error,
 )
-from zenopt.builder import ancilla_mass, compiled_model
-from zenopt.problem import feasible_mask
+from zenopt.builder import ancilla_mass, build_dephasing_layer, compiled_model
+from zenopt.problem import feasible_mask, slack_width
 from zenopt.statevector import gate_h
 
 CARGO = cargo_instance([1, 2, 3], 2, 3)

@@ -4,13 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from zenopt import (
-    ContractError,
+from zenopt import ContractError, LayoutError, Projection, Statevector, apply_gates
+from zenopt.arithmetic import (
     CostRegisterLayout,
-    LayoutError,
-    Projection,
-    Statevector,
-    apply_gates,
     build_comparator,
     build_cost_adder,
     build_uncompute,

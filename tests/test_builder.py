@@ -27,16 +27,11 @@ from zenopt import (
     apply_gate,
     apply_gates,
     build_circuit,
-    build_dephasing_layer,
-    build_phase_return,
-    build_zeno_layer,
     cargo_instance,
     circuit_stats,
-    circuit_to_json,
     compile_qubo,
     marginal_probabilities,
     new_state,
-    parse_assignment,
     prepare_initial_state,
     project_qubit,
     qubo_to_ising,
@@ -48,10 +43,15 @@ from zenopt.builder import (
     CircuitLayout,
     HybridCircuit,
     ancilla_mass,
+    build_dephasing_layer,
     build_layout,
+    build_phase_return,
+    build_zeno_layer,
+    circuit_to_json,
     compiled_model,
     layer_blocks,
 )
+from zenopt.cli import parse_assignment
 from zenopt.problem import REP_KINDS, IsingCoeffs, feasible_mask
 from zenopt import statevector
 from zenopt.statevector import gate_h, gate_rx

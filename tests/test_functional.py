@@ -24,9 +24,9 @@ from zenopt import (
     circuit_stats,
     evaluate_params,
     prepare_initial_state,
-    register_width,
     run_circuit,
 )
+from zenopt.arithmetic import register_width
 from zenopt.builder import ancilla_mass, compiled_model
 from zenopt.problem import DEPHASE, QAOA, REP_KINDS, ZENO, can_fail, feasible_mask, subset_sums
 from zenopt.zeno import expm_hermitian, zeno_hamiltonian

@@ -32,7 +32,6 @@ from zenopt import (
     lagrange_sweep,
     optimize,
     ordering_study,
-    parse_assignment,
     run_assignment,
     run_family_sweep,
     sample,
@@ -40,7 +39,7 @@ from zenopt import (
     state_visit_histogram,
     zeno_demo_rows,
 )
-from zenopt.cli import FAMILY_CSV_COLUMNS, build_parser, main
+from zenopt.cli import FAMILY_CSV_COLUMNS, build_parser, main, parse_assignment
 from zenopt.harness import SWEEP_CONFIG
 from zenopt.problem import save_problem, solution_masks
 

@@ -22,14 +22,13 @@ from zenopt import (
     compile_qubo,
     default_multipliers,
     optimize,
-    parse_assignment,
     problem_from_json,
     problem_to_json,
     qubo_to_ising,
     qubo_values,
     run_assignment,
-    slack_width,
 )
+from zenopt.cli import parse_assignment
 from zenopt.problem import (
     DEPHASE,
     QAOA,
@@ -37,6 +36,7 @@ from zenopt.problem import (
     Qubo,
     constraint_excess,
     feasible_mask,
+    slack_width,
     subset_sums,
 )
 

@@ -8,12 +8,16 @@ in [-3, 3].  Draws whose gate circuit would exceed ``MAX_GATE_QUBITS``, or
 whose QUBO would exceed ``MAX_TABLE_BITS``, are discarded, which keeps every
 state and table at most 256 KiB.  A structural property draws coefficients
 and bounds up to about 2^62, near powers of two where a float log2 is one
-bit short, and builds and counts circuits without running them.  A last
-property feeds values of the wrong type, size or range to the public
-constructors and entry points.  The runs are derandomized with no example
-database, so the suite stays deterministic.
+bit short, and builds and counts circuits without running them.  Last, a
+table derived from ``zenopt``'s namespace lists every exported function and
+constructor with its required parameters: a walk gives each of them in turn
+``None``, ``object()`` and ``"x"``, and a property values of the wrong type,
+size or range.  The runs are derandomized with no example database, so the
+suite stays deterministic.
 """
 
+import contextlib
+import inspect
 import re
 
 import numpy as np
@@ -21,6 +25,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+import zenopt
 from zenopt import (
     ORDERINGS,
     QAOA,
@@ -28,6 +33,7 @@ from zenopt import (
     ConstrainedBinaryProblem,
     Constraint,
     FunctionalCircuit,
+    Gate,
     LayerParams,
     Multipliers,
     OptimizerConfig,
@@ -44,11 +50,12 @@ from zenopt import (
     optimize,
     ordering_study,
     prepare_initial_state,
+    problem_to_json,
     qubo_values,
     run_assignment,
     run_circuit,
     run_family_sweep,
-    sample,
+    save_problem,
     sampled_metrics,
     state_visit_histogram,
     survival_analytic,
@@ -202,53 +209,95 @@ JUNK = st.one_of(
 _PROBLEM = ConstrainedBinaryProblem(2, (1, -2), (Constraint((1, 1), 1, "c0"), Constraint((2, 1), 2, "c1")))
 _PARAMS = LayerParams((0.3,), (0.2,), 2)
 _BACKEND = dict(problem=_PROBLEM, assignment=("ZENO", "DEPHASE"), mult=Multipliers((1.0, 2.0), 0.5))
-# Each entry point with valid keyword arguments.  Every field but ``problem``
-# and ``params`` takes a drawn value; ``mult`` takes multipliers for 0-3
-# constraints (the problem has 2), the others take JUNK.
+_X, _P0, _KET0 = [[0, 1], [1, 0]], [[1, 0], [0, 0]], [1, 0]
+_CONFIG = OptimizerConfig(max_iters=1)
+_CIRCUIT = build_circuit(**_BACKEND, params=_PARAMS)
+_TRACE = optimize(**_BACKEND, config=_CONFIG)
+_ANNEAL = anneal(_PROBLEM, _BACKEND["mult"], AnnealSchedule(steps=2))
+_QUBO = compile_qubo(**_BACKEND)
+
+
+def _entry_points():
+    """The public functions and constructors of ``zenopt``, exceptions aside,
+    and the two alternate constructors."""
+    for name, obj in sorted(vars(zenopt).items()):
+        exception = isinstance(obj, type) and issubclass(obj, Exception)
+        if not name.startswith("_") and callable(obj) and not exception:
+            yield name, obj
+    yield "Multipliers.uniform", Multipliers.uniform
+    yield "LayerParams.initial", LayerParams.initial
+
+
+# Each entry point with the names of its required parameters; the optional
+# ones keep their defaults.
 ENTRY_POINTS = {
-    "ConstrainedBinaryProblem": (
-        ConstrainedBinaryProblem,
-        dict(n_vars=2, objective=(1, -2), constraints=_PROBLEM.constraints, var_labels=("a", "b")),
-    ),
-    "Constraint": (
-        lambda **kw: ConstrainedBinaryProblem(2, (1, 1), (Constraint(**kw),)),
-        dict(coeffs=(1, 1), bound=1, label="c"),
-    ),
-    "Multipliers": (Multipliers, dict(lambdas=(1.0, 2.0), alpha=0.5)),
-    "Multipliers.uniform": (Multipliers.uniform, dict(n_constraints=2, lam=1.0, alpha=0.5)),
-    "LayerParams": (LayerParams, dict(gamma=(0.3,), beta=(0.2,), q_measurements=2)),
-    "LayerParams.initial": (LayerParams.initial, dict(p_layers=1, q_measurements=1)),
-    "OptimizerConfig": (OptimizerConfig, dict(max_iters=5, seed=0)),
-    "build_circuit": (build_circuit, dict(_BACKEND, params=_PARAMS, ordering="natural")),
-    "FunctionalCircuit": (
-        lambda **kw: FunctionalCircuit(**kw).run(_PARAMS),
-        dict(_BACKEND, ordering="natural"),
-    ),
-    "new_state": (new_state, dict(n_qubits=3)),
-    "sample": (lambda **kw: sample(new_state(2), **kw), dict(shots=5, seed=0)),
+    name: (fn, [p.name for p in inspect.signature(fn).parameters.values() if p.default is p.empty])
+    for name, fn in _entry_points()
 }
+# A valid value for each required parameter name: the fields of real records
+# and value types, then the arguments of the functions, which take precedence.
+FIXTURES = {
+    **vars(_TRACE), **vars(_TRACE.records[0]), **vars(_ANNEAL), **vars(_ANNEAL.visit_trace[0]),
+    **vars(run_assignment(**_BACKEND, config=_CONFIG)), **vars(circuit_stats(_CIRCUIT)), **vars(_CIRCUIT),
+    **vars(state_visit_histogram(**_BACKEND, params=_PARAMS)), **vars(_QUBO), **vars(new_state(2)),
+    **vars(_PROBLEM), **vars(_PROBLEM.constraints[0]), **vars(_BACKEND["mult"]), **vars(_PARAMS),
+    **_BACKEND, "params": _PARAMS, "config": _CONFIG, "schedule": AnnealSchedule(steps=2),
+    "circuit": _CIRCUIT, "layout": _CIRCUIT.layout, "qubo": _QUBO,
+    "state": prepare_initial_state(_PROBLEM, _BACKEND["assignment"], _CIRCUIT.layout),
+    "gate": Gate("H", (0,)), "kind": "CNOT", "qubits": (0, 1), "qubit": 0, "outcome": 0,
+    "shots": 5, "seed": 0, "value_fn": np.negative, "n_constraints": 2, "lam": 1.0,
+    "weights": (1, 2), "n_positions": 2, "max_weight": 3, "text": problem_to_json(_PROBLEM),
+    "path": "problem.json", "hamiltonian": _X, "projector": _P0, "psi0": _KET0, "t": 1.0,
+    "n_measurements": 2, "n_list": (1, 2),
+}
+PARAMETERS = [(name, param) for name, (_, required) in ENTRY_POINTS.items() for param in required]
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    """The working directory of the calls, holding FIXTURES' problem file, so a
+    path argument writes nowhere else."""
+    path = tmp_path_factory.mktemp("entry_points")
+    save_problem(_PROBLEM, path / FIXTURES["path"])
+    return path
+
+
+def _call(name: str, cwd, override: dict):
+    """Entry point ``name`` in ``cwd`` on the FIXTURES values of its required
+    parameters, with ``override`` in place of some."""
+    fn, required = ENTRY_POINTS[name]
+    with contextlib.chdir(cwd):
+        return fn(**{**{p: FIXTURES[p] for p in required}, **override})
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_fixtures_make_valid_calls(name, scratch_dir):
+    """FIXTURES alone makes a call that succeeds, so a ZenoptError in the
+    walk below comes from the one wrong value."""
+    _call(name, scratch_dir, {})
+
+
+@pytest.mark.parametrize("value", [None, object(), "x"], ids=["None", "object", "str"])
+@pytest.mark.parametrize("name, param", PARAMETERS, ids=[f"{name}-{param}" for name, param in PARAMETERS])
+def test_each_required_parameter_rejects_a_wrong_type(name, param, value, scratch_dir):
+    """Each required parameter of each entry point in turn takes a value of
+    the wrong type: the call returns or raises a ZenoptError subclass, never a
+    raw Python or numpy error."""
+    with contextlib.suppress(ZenoptError):
+        _call(name, scratch_dir, {param: value})
 
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)
 @given(st.data())
-def test_broken_values_raise_zenopt_errors(data):
-    """One field of one entry point takes a value of the wrong type, size or
-    range: the call raises a ZenoptError subclass, never a raw Python or numpy
-    error.  A value the documented checks accept (a float angle, a small
-    count) may succeed."""
-    name = data.draw(st.sampled_from(sorted(ENTRY_POINTS)), label="entry point")
-    fn, kwargs = ENTRY_POINTS[name]
-    field = data.draw(st.sampled_from(sorted(set(kwargs) - {"problem", "params"})), label="field")
-    values = st.integers(0, 3).map(lambda k: Multipliers.uniform(k, 1.0)) if field == "mult" else JUNK
-    try:
-        fn(**{**kwargs, field: data.draw(values, label="value")})
-    except ZenoptError:
-        pass
-
-
-_X, _P0, _KET0 = [[0, 1], [1, 0]], [[1, 0], [0, 0]], [1, 0]
-_CONFIG = OptimizerConfig(max_iters=1)
-_CIRCUIT = build_circuit(**_BACKEND, params=_PARAMS)
+def test_broken_values_raise_zenopt_errors(scratch_dir, data):
+    """One required parameter of one entry point takes a value of the wrong
+    type, size or range, ``mult`` multipliers for 0-3 constraints (the problem
+    has 2): the call returns or raises a ZenoptError subclass.  A value the
+    documented checks accept (a float angle, a small count) may succeed."""
+    name, param = data.draw(st.sampled_from(PARAMETERS), label="parameter")
+    values = st.integers(0, 3).map(lambda k: Multipliers.uniform(k, 1.0)) if param == "mult" else JUNK
+    with contextlib.suppress(ZenoptError):
+        _call(name, scratch_dir, {param: data.draw(values, label="value")})
 
 
 # Wrong-type arguments to the entry points: zeno raises ContractError, as it

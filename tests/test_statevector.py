@@ -13,7 +13,6 @@ from zenopt import (
     Statevector,
     apply_gate,
     apply_gates,
-    basis_string,
     expectation_diagonal,
     marginal_probabilities,
     new_state,
@@ -22,6 +21,7 @@ from zenopt import (
 )
 from zenopt import statevector
 from zenopt.statevector import (
+    basis_string,
     gate_cnot,
     gate_cphase,
     gate_h,
